@@ -76,11 +76,13 @@ SharedLruResult SharedLruModel(const std::vector<BytesPerSec>& access_rates,
     }
     for (int iter = 0; iter < 200; ++iter) {
       const double mid = 0.5 * (lo + hi);
-      if (occupancy(mid) < cap) {
-        lo = mid;
-      } else {
-        hi = mid;
+      double& side = occupancy(mid) < cap ? lo : hi;
+      if (side == mid) {
+        // A step that changes nothing repeats forever, so (lo, hi) is already
+        // what the remaining iterations would leave (after ~55 of the 200).
+        break;
       }
+      side = mid;
     }
     t = 0.5 * (lo + hi);
   }

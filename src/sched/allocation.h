@@ -94,9 +94,9 @@ struct AllocationPlan {
 };
 
 // Exact (bit-level) plan equality: every field compared, doubles by their
-// bit pattern so NaN/±0/inf differences are caught.  This is the correctness
-// anchor of the incremental planner (sched/delta_fill.h): a delta solve must
-// be PlansBitIdentical to the batch solve on the same snapshot.
+// bit pattern so NaN/±0/inf differences are caught.  The daemon's identity
+// tests pin its current plan PlansBitIdentical to a fresh batch solve of the
+// same snapshot.
 bool PlansBitIdentical(const AllocationPlan& a, const AllocationPlan& b);
 
 // FNV-1a digest over a canonical serialization of the plan (maps iterate in

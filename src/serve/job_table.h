@@ -4,8 +4,8 @@
 // The table owns the dataset catalog (datasets are interned by name on first
 // submit; later submits must agree on size/block-size) and assigns dense
 // JobIds in submission order — so snapshots built here walk jobs in the same
-// ascending-id order the simulation engines do, which the delta solver's
-// bit-identity contract relies on (sched/delta_fill.h).
+// ascending-id order the simulation engines do, so the daemon's scheduler
+// sees the same job order as a batch engine run of the same trace.
 //
 // States: kActive jobs are visible to the scheduler; kQueued jobs were
 // admission-queued and wait outside the scheduler's view; kCompleted /

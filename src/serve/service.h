@@ -10,7 +10,7 @@
 // Time is virtual and carried by the requests: every mutating verb takes a
 // `t=<seconds>` argument and the clock advances to max(now, t).  That makes
 // the daemon a deterministic function of the request sequence — the property
-// the full-vs-incremental identity test and the trace cross-check build on.
+// the batch-identity tests and the trace cross-check build on.
 //
 // Verbs (key=value args, serve/proto.h encoding):
 //   submit   key= t= gpus= ideal-io= total-bytes= dataset= dataset-size=
@@ -105,8 +105,8 @@ class ServiceState {
   // with a batch engine run fed the same submit/complete times.
   RunReport Report() const;
 
-  // Test/replay access: the current plan (re-solving if dirty) and the
-  // scheduler snapshot the next solve would see.
+  // Test/replay access: the current plan (re-solving if events are pending)
+  // and the scheduler snapshot the next solve would see.
   const AllocationPlan& PlanNow();
   Snapshot MakeSnapshot() const;
 
@@ -150,8 +150,8 @@ class ServiceState {
   ServeResponse Dispatch(const ServeRequest& request);
 
   // Re-solves if due and syncs per-job running flags / first-start times
-  // with the resulting plan.
-  void Replan(bool force);
+  // with the resulting plan, which it returns.
+  const AllocationPlan& Replan(bool force);
   // Admits queued jobs (FIFO) that now pass the load gate.
   void PromoteQueued();
   Status AdvanceClock(const ServeRequest& request);

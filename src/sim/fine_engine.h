@@ -42,9 +42,10 @@ struct FineEngineOptions {
   int prefetch_window = 256;
   // Metrics sampling period on top of event-driven samples.
   Seconds sample_period = Minutes(5);
-  // Escape hatch (one release): find next/due events by an O(jobs) scan
-  // instead of the indexed event calendar.  Both paths share the fluid
-  // arithmetic and must produce bit-identical results; see docs/MODEL.md §6.
+  // Reference path for tests and bench_engine_scaling: find next/due events
+  // by an O(jobs) scan instead of the indexed event calendar.  Both paths
+  // share the fluid arithmetic and must produce bit-identical results; see
+  // docs/MODEL.md §6.
   bool use_linear_scan = false;
 };
 

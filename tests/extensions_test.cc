@@ -4,6 +4,7 @@
 // Hoard-style prefetching, and the shared-LFU cache model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/flags.h"
@@ -269,6 +270,20 @@ TEST(Placement, MinimalMovementOnGrowth) {
   // Consistent hashing moves ~1/17 of blocks; naive mod-N would move ~94%.
   EXPECT_LT(moved, 0.15);
   EXPECT_GT(moved, 0.01);
+}
+
+TEST(Placement, PerServerCapacityCostsLittleAtScale) {
+  // The footing for modelling the cache pool as one capacity: with each
+  // server enforcing its own disk, a dataset exactly the pool's size still
+  // fits to >=93% because consistent hashing spreads it evenly.
+  const Dataset dataset = MakeDataset(0, "x", GB(64), MB(16));  // 4000 blocks.
+  const BlockPlacement placement(16);
+  const std::int64_t per_server = GB(4) / MB(16);
+  std::int64_t usable = 0;
+  for (const std::int64_t count : placement.CountPerServer(dataset)) {
+    usable += std::min(count, per_server);
+  }
+  EXPECT_GT(static_cast<double>(usable), 0.93 * static_cast<double>(dataset.num_blocks));
 }
 
 TEST(Placement, SingleServerTakesAll) {

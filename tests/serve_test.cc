@@ -1,7 +1,7 @@
 // Tests for the silodd subsystem (docs/MODEL.md §11-§12): the shared framing
-// layer (including hostile/torn input), the text protocol, dirty-set
-// tracking, the delta water-fill's bit-identity contract, admission-control
-// edges, epoch batching, policy hot-reload, the trace-replay cross-check,
+// layer (including hostile/torn input), the text protocol, the planner's
+// identity with the batch schedulers, admission-control edges, epoch
+// batching and its counters, policy hot-reload, the trace-replay cross-check,
 // the Unix-socket transport, and the crash-safety stack — write-ahead
 // journal, torn-tail truncation, rid dedup, checkpoint compaction, and the
 // recovery bit-identity contract.
@@ -20,13 +20,7 @@
 
 #include "src/common/framing.h"
 #include "src/common/units.h"
-#include "src/core/data_manager.h"
-#include "src/core/dirty_tracker.h"
 #include "src/core/policy_registry.h"
-#include "src/sched/delta_fill.h"
-#include "src/sched/fifo.h"
-#include "src/sched/greedy.h"
-#include "src/sched/sjf.h"
 #include "src/serve/journal.h"
 #include "src/serve/server.h"
 #include "src/serve/service.h"
@@ -175,180 +169,6 @@ TEST(ServeProto, RejectsDuplicateKeysAndBadEscapes) {
   EXPECT_FALSE(ServeRequest::Decode("").ok());
 }
 
-// ---------------------------------------------------------------------------
-// Dirty tracking.
-
-TEST(DirtyTracker, TracksMarksAndFullInvalidations) {
-  DirtyTracker tracker;
-  EXPECT_TRUE(tracker.empty());
-  tracker.MarkJob(3);
-  tracker.MarkJob(1);
-  tracker.MarkDataset(2);
-  EXPECT_EQ((std::vector<JobId>{1, 3}), tracker.DirtyJobs());
-  EXPECT_EQ(3u, tracker.events());
-  tracker.MarkAll("topology change");
-  EXPECT_TRUE(tracker.all_dirty());
-  EXPECT_EQ("topology change", tracker.all_dirty_reason());
-  tracker.Clear();
-  EXPECT_TRUE(tracker.empty());
-  EXPECT_EQ(0u, tracker.events());
-  EXPECT_EQ(4u, tracker.lifetime_marks());
-  EXPECT_EQ(1u, tracker.lifetime_full_invalidations());
-}
-
-TEST(DirtyTracker, DataManagerChangeListenerMarksDatasets) {
-  DataManager dm(GB(10), MBps(100), /*seed=*/7, /*num_shards=*/2);
-  DirtyTracker tracker;
-  dm.SetChangeListener([&tracker](DatasetId dataset) {
-    if (dataset == kInvalidDataset) {
-      tracker.MarkAll("cache-wide event");
-    } else {
-      tracker.MarkDataset(dataset);
-    }
-  });
-  const Dataset dataset = MakeDataset(0, "d0", GB(4), MB(64));
-  ASSERT_TRUE(dm.AllocateCacheSize(dataset, GB(2)).ok());
-  EXPECT_EQ((std::vector<DatasetId>{0}), tracker.DirtyDatasets());
-  EXPECT_FALSE(tracker.all_dirty());
-  dm.CrashShard(0);
-  EXPECT_TRUE(tracker.all_dirty());
-  tracker.Clear();
-  dm.RecoverShard(0);
-  EXPECT_TRUE(tracker.all_dirty());
-}
-
-// ---------------------------------------------------------------------------
-// Delta water-fill: the bit-identity anchor.
-
-class DeltaFillTest : public ::testing::Test {
- protected:
-  DeltaFillTest() {
-    snapshot_.catalog = &catalog_;
-    snapshot_.resources.total_gpus = 8;
-    snapshot_.resources.total_cache = GB(900);
-    snapshot_.resources.remote_io = MBps(200);
-    snapshot_.resources.num_servers = 4;
-  }
-
-  JobId AddJob(int gpus, Bytes dataset_size, BytesPerSec ideal, Seconds submit,
-               bool running = false) {
-    const JobId id = static_cast<JobId>(specs_.size());
-    const DatasetId d = catalog_.Add("d" + std::to_string(id), dataset_size, MB(64));
-    auto spec = std::make_unique<JobSpec>();
-    spec->id = id;
-    spec->name = "j" + std::to_string(id);
-    spec->num_gpus = gpus;
-    spec->dataset = d;
-    spec->ideal_io = ideal;
-    spec->total_bytes = static_cast<Bytes>(ideal * Hours(10));
-    spec->submit_time = submit;
-    running_.push_back(running);
-    specs_.push_back(std::move(spec));
-    return id;
-  }
-
-  Snapshot& Refresh() {
-    snapshot_.jobs.clear();
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-      JobView view;
-      view.spec = specs_[i].get();
-      view.remaining_bytes = remaining_.count(specs_[i]->id) > 0
-                                 ? remaining_[specs_[i]->id]
-                                 : specs_[i]->total_bytes;
-      view.effective_cache = effective_.count(specs_[i]->id) > 0 ? effective_[specs_[i]->id] : 0;
-      view.running = running_[i];
-      snapshot_.jobs.push_back(view);
-    }
-    return snapshot_;
-  }
-
-  AllocationPlan BatchSolve(DeltaOrderKind kind) {
-    std::shared_ptr<StoragePolicy> storage = std::make_shared<SiloDGreedyStorage>(true);
-    std::shared_ptr<Scheduler> scheduler;
-    if (kind == DeltaOrderKind::kFifo) {
-      scheduler = std::make_shared<FifoScheduler>(storage);
-    } else {
-      scheduler = std::make_shared<SjfScheduler>(
-          storage, kind == DeltaOrderKind::kSjfSiloD ? SjfScoreMode::kSiloD
-                                                     : SjfScoreMode::kComputeOnly);
-    }
-    return scheduler->Schedule(snapshot_);
-  }
-
-  DatasetCatalog catalog_;
-  std::vector<std::unique_ptr<JobSpec>> specs_;
-  std::vector<bool> running_;
-  std::map<JobId, Bytes> remaining_;
-  std::map<JobId, Bytes> effective_;
-  Snapshot snapshot_;
-};
-
-TEST_F(DeltaFillTest, MatchesBatchAcrossIncrementalMutations) {
-  for (const DeltaOrderKind kind :
-       {DeltaOrderKind::kFifo, DeltaOrderKind::kSjfCompute, DeltaOrderKind::kSjfSiloD}) {
-    specs_.clear();
-    running_.clear();
-    remaining_.clear();
-    effective_.clear();
-    catalog_ = DatasetCatalog();
-    DeltaWaterFill delta(kind, /*manage_remote_io=*/true);
-
-    // Round 1: three jobs, cold solve.
-    AddJob(2, GB(400), MBps(120), 0);
-    AddJob(1, GB(800), MBps(60), 10);
-    AddJob(4, TB(1.5), MBps(200), 20);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {0, 1, 2}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 1";
-
-    // Round 2: one arrival, only it is dirty.
-    const JobId late = AddJob(1, GB(200), MBps(90), 30);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {late}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 2";
-
-    // Round 3: progress + cache effectiveness moved on job 0 (marked dirty)
-    // and sneakily on job 1 (NOT marked — the input fingerprint must catch
-    // it, the dirty set is never trusted for correctness).
-    remaining_[0] = GB(100);
-    effective_[0] = GB(50);
-    effective_[1] = GB(25);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {0}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 3";
-
-    // Round 4: a completion (job leaves the snapshot entirely).
-    specs_.erase(specs_.begin() + 1);
-    running_.erase(running_.begin() + 1);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {1}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 4";
-
-    // Round 5: cluster resources changed — all caches must self-invalidate.
-    snapshot_.resources.total_cache = GB(300);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 5";
-    EXPECT_GT(delta.jobs_reused(), 0u);
-  }
-}
-
-TEST_F(DeltaFillTest, MatchesBatchUnderTopology) {
-  AddJob(2, GB(400), MBps(120), 0);
-  AddJob(1, GB(800), MBps(60), 10);
-  Result<ClusterTopology> topology = ClusterTopology::Parse("rack0=0-1;rack1=2-3");
-  ASSERT_TRUE(topology.ok());
-  snapshot_.topology = &*topology;
-  effective_[0] = GB(100);
-  Refresh();
-  DeltaWaterFill delta(DeltaOrderKind::kFifo, true);
-  EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {0, 1}),
-                                BatchSolve(DeltaOrderKind::kFifo)));
-  // Digest agrees with bit-identity.
-  EXPECT_EQ(PlanDigest(delta.Solve(snapshot_, {})),
-            PlanDigest(BatchSolve(DeltaOrderKind::kFifo)));
-}
-
 TEST(PlanDigest, DistinguishesPlans) {
   AllocationPlan a;
   a.jobs[0].running = true;
@@ -424,8 +244,18 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, IdentityHoldsAfterAnySubmitCompleteCancelSequence) {
-  for (const char* policy : {"fifo+silod", "sjf+silod", "fifo+coordl"}) {
-    Start(SmallCluster(policy));
+  // Every registry pair whose scheduler keeps no state between Schedule
+  // calls.  Excluded: the three "+quiver" pairs — QuiverStorage's online
+  // profiler draws fresh noise on every call and remembers its last
+  // allocation, so a fresh batch scheduler cannot reproduce the daemon's plan.
+  int checked = 0;
+  for (const PolicyInfo& info : PolicyRegistry::Global().List()) {
+    if (info.name.ends_with("+quiver")) {
+      continue;
+    }
+    SCOPED_TRACE(info.name);
+    ++checked;
+    Start(SmallCluster(info.name));
     Must(SubmitReq("a", 0, 2, GB(400)));
     ExpectBatchIdentity();
     Must(SubmitReq("b", 10, 1, GB(800)));
@@ -442,16 +272,35 @@ TEST_F(ServiceTest, IdentityHoldsAfterAnySubmitCompleteCancelSequence) {
     Must(Req("cancel", {{"key", "c"}, {"t", "300"}}));
     ExpectBatchIdentity();
   }
+  EXPECT_EQ(12, checked);
 }
 
-TEST_F(ServiceTest, DeltaSolvesAreUsedAndCounted) {
+TEST_F(ServiceTest, SolveAndReuseCountersFollowPendingEvents) {
   Start(SmallCluster("sjf+silod"));
-  ASSERT_TRUE(service_->planner().delta_capable());
+  const auto counters = [this] {
+    const ServeResponse stats = Must(Req("stats", {}));
+    return stats.fields.at("full-solves") + "/" + stats.fields.at("reused-plans") + "/" +
+           stats.fields.at("dirty-pending");
+  };
+  EXPECT_EQ("0/0/1", counters());  // The initial plan is pending.
+  // With coalescing off, every write re-solves at once.
   Must(SubmitReq("a", 0, 1, GB(400)));
+  EXPECT_EQ("1/0/0", counters());
   Must(SubmitReq("b", 1, 1, GB(400)));
   Must(Req("complete", {{"key", "a"}, {"t", "50"}}));
-  EXPECT_GE(service_->planner().delta_solves(), 2u);  // Arrival b + completion.
-  EXPECT_EQ(1u, service_->planner().full_solves());   // The cold initial solve.
+  EXPECT_EQ("3/0/0", counters());
+  // `plan` with nothing pending serves the cached plan: one reuse.
+  Must(Req("plan", {{"t", "60"}}));
+  EXPECT_EQ("3/1/0", counters());
+  // A query is not an event and plans nothing.
+  Must(Req("query", {{"key", "b"}}));
+  EXPECT_EQ("3/1/0", counters());
+  Must(Req("complete", {{"key", "b"}, {"t", "70"}}));
+  EXPECT_EQ("4/1/0", counters());
+  const ServeResponse stats = Must(Req("stats", {}));
+  for (const char* gone : {"delta-capable", "delta-solves", "jobs-rescored", "jobs-reused"}) {
+    EXPECT_EQ(0u, stats.fields.count(gone)) << gone;
+  }
   ExpectBatchIdentity();
 }
 
@@ -501,16 +350,13 @@ TEST_F(ServiceTest, EpochBatchingCoalescesArrivals) {
   config.planning.max_coalesced_events = 3;    // ... until 3 marks coalesce.
   Start(std::move(config));
   Must(SubmitReq("a", 0, 1, GB(100)));  // Initial all-dirty solve happens.
-  const std::uint64_t solves_after_first =
-      service_->planner().full_solves() + service_->planner().delta_solves();
+  const std::uint64_t solves_after_first = service_->planner().full_solves();
   Must(SubmitReq("b", 1, 1, GB(100)));  // 1 pending mark: coalesced.
   Must(SubmitReq("c", 2, 1, GB(100)));  // 2 pending marks: coalesced.
-  EXPECT_EQ(solves_after_first,
-            service_->planner().full_solves() + service_->planner().delta_solves());
+  EXPECT_EQ(solves_after_first, service_->planner().full_solves());
   EXPECT_GE(service_->planner().reused_plans(), 2u);
   Must(SubmitReq("d", 3, 1, GB(100)));  // 3rd mark forces the tick.
-  EXPECT_EQ(solves_after_first + 1,
-            service_->planner().full_solves() + service_->planner().delta_solves());
+  EXPECT_EQ(solves_after_first + 1, service_->planner().full_solves());
   ExpectBatchIdentity();  // A forced plan flushes the rest.
 }
 
@@ -519,11 +365,9 @@ TEST_F(ServiceTest, ReloadPolicySwapsSchedulerAndCachePair) {
   Must(SubmitReq("a", 0, 1, GB(400)));
   Must(SubmitReq("b", 1, 1, GB(800)));
   EXPECT_EQ("fifo+silod", service_->policy_name());
-  EXPECT_TRUE(service_->planner().delta_capable());
 
   ServeResponse reload = Must(Req("reload-policy", {{"policy", "gavel+coordl"}}));
   EXPECT_EQ("gavel+coordl", reload.fields.at("policy"));
-  EXPECT_EQ("0", reload.fields.at("delta-capable"));
   const AllocationPlan& plan = service_->PlanNow();
   EXPECT_EQ(CacheModelKind::kPerJobStatic, plan.cache_model);
 
@@ -533,7 +377,7 @@ TEST_F(ServiceTest, ReloadPolicySwapsSchedulerAndCachePair) {
   EXPECT_EQ("gavel+coordl", service_->policy_name());
 
   ServeResponse back = Must(Req("reload-policy", {{"policy", "sjf+silod"}}));
-  EXPECT_EQ("1", back.fields.at("delta-capable"));
+  EXPECT_EQ("sjf+silod", back.fields.at("policy"));
   ExpectBatchIdentity();
 }
 
@@ -1022,6 +866,156 @@ TEST_F(ServiceJournalTest, CheckpointVerbCompactsAndRecoveryMatches) {
   ServeResponse dup = Must(service.get(), WithRid(SubmitReq("c", 60, 1, GB(200)), 4));
   EXPECT_EQ("1", dup.fields.at("duplicate"));
   Must(service.get(), WithRid(Req("complete", {{"key", "c"}, {"t", "100"}}), 5));
+}
+
+// A checkpoint written before the planner kept only a pending-event count:
+// its planner line also carries dirty-all/dirty-reason/dirty-jobs/
+// dirty-datasets.  Restoring it must give the writer's StateDigest and
+// re-solve at the same request the writer did (the fifth pending event);
+// the digests below are the writer's own, after each follow-up request.
+TEST(ServiceCheckpoint, EarlierPlannerLineRestoresDigestAndNextReplan) {
+  const std::string checkpoint =
+      "silodd-checkpoint-v1\n"
+      "cluster gpus=8 cache=900000000000 egress=200000000 servers=4\n"
+      "policy name=sjf+silod manage-remote-io=1\n"
+      "clock now=20 last-rid=0 requests=3 errors=0 duplicates=0\n"
+      "admission admitted=2 queued=0 rejected=0\n"
+      "planner last-plan-t=5 dirty-all=0 dirty-reason= dirty-events=2 dirty-jobs=0,1 "
+      "dirty-datasets=\n"
+      "dataset id=0 name=ds-a size=400000000000 block=64000000\n"
+      "dataset id=1 name=ds-b size=800000000000 block=64000000\n"
+      "job id=0 key=a state=active gpus=2 dataset=0 ideal-io=100000000 "
+      "total-bytes=1000000000000 step-bytes=64000000 model=custom submit-t=5 admit-t=5 "
+      "start-t=5 finish-t=-1 remaining=500000000000 effective=50000000000 running=1\n"
+      "job id=1 key=b state=active gpus=1 dataset=1 ideal-io=100000000 "
+      "total-bytes=1000000000000 step-bytes=64000000 model=custom submit-t=10 admit-t=10 "
+      "start-t=-1 finish-t=-1 remaining=1000000000000 effective=0 running=0\n"
+      "end\n";
+  ServiceConfig config = SmallCluster("sjf+silod");
+  config.planning.min_replan_interval = 100;
+  config.planning.max_coalesced_events = 5;
+
+  // The same three requests, live: last solve at t=5, two events pending.
+  Result<std::unique_ptr<ServiceState>> live = ServiceState::Create(config);
+  ASSERT_TRUE(live.ok());
+  for (const ServeRequest& request :
+       {SubmitReq("a", 5, 2, GB(400)), SubmitReq("b", 10, 1, GB(800)),
+        Req("progress", {{"key", "a"},
+                         {"t", "20"},
+                         {"remaining", "500000000000"},
+                         {"effective", "50000000000"}})}) {
+    ASSERT_TRUE((*live)->Handle(request).ok()) << request.verb;
+  }
+  EXPECT_EQ(2u, (*live)->planner().pending_events());
+  // Today's writer keeps only the clock and the count on the planner line.
+  EXPECT_NE(std::string::npos,
+            (*live)->CheckpointText().find("\nplanner last-plan-t=5 dirty-events=2\n"));
+
+  Result<std::unique_ptr<ServiceState>> restored = ServiceState::Create(config);
+  ASSERT_TRUE(restored.ok());
+  RecoveryInfo recovery;
+  ASSERT_TRUE((*restored)->RestoreFromCheckpoint(checkpoint, &recovery).ok());
+  EXPECT_TRUE(recovery.warnings.empty());
+  EXPECT_EQ(0x0c4a56dbdab80a14u, (*restored)->StateDigest());
+  EXPECT_EQ((*live)->StateDigest(), (*restored)->StateDigest());
+  EXPECT_EQ(2u, (*restored)->planner().pending_events());
+  EXPECT_EQ(5.0, (*restored)->planner().last_plan_time());
+
+  // Follow-ups: t=104 is 99 s after the last solve and the fourth pending
+  // event, so neither trigger fires; the fifth event at t=104.5 re-solves.
+  struct Step {
+    ServeRequest request;
+    std::uint64_t digest;
+    std::uint64_t solves;  // Solves since the restore.
+  };
+  const Step steps[] = {
+      {SubmitReq("c", 50, 1, GB(200)), 0xef97778d549c0509u, 0},
+      {Req("progress", {{"key", "c"}, {"t", "104"}, {"remaining", "900000000000"}}),
+       0xdec19370b34f0642u, 0},
+      {Req("progress", {{"key", "b"}, {"t", "104.5"}, {"remaining", "900000000000"}}),
+       0x272d9a618893a462u, 1},
+      {Req("complete", {{"key", "a"}, {"t", "300"}}), 0x810ed95015871c4eu, 2},
+  };
+  const std::uint64_t live_solves = (*live)->planner().full_solves();
+  const std::uint64_t restored_solves = (*restored)->planner().full_solves();
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.request.verb + " t=" + step.request.args.at("t"));
+    ASSERT_TRUE((*live)->Handle(step.request).ok());
+    ASSERT_TRUE((*restored)->Handle(step.request).ok());
+    EXPECT_EQ(step.digest, (*restored)->StateDigest());
+    EXPECT_EQ(step.digest, (*live)->StateDigest());
+    EXPECT_EQ(step.solves, (*restored)->planner().full_solves() - restored_solves);
+    EXPECT_EQ(step.solves, (*live)->planner().full_solves() - live_solves);
+  }
+}
+
+// A service checkpointed before it admitted anything has not planned yet;
+// restored, it must still solve on the first admission, like the writer.
+TEST(ServiceCheckpoint, RestoreBeforeAnyAdmissionStillOwesTheInitialSolve) {
+  ServiceConfig config = SmallCluster("fifo+silod");
+  config.planning.min_replan_interval = 100;
+  config.planning.max_coalesced_events = 5;
+  Result<std::unique_ptr<ServiceState>> writer = ServiceState::Create(config);
+  Result<std::unique_ptr<ServiceState>> restored = ServiceState::Create(config);
+  ASSERT_TRUE(writer.ok() && restored.ok());
+  RecoveryInfo recovery;
+  ASSERT_TRUE((*restored)->RestoreFromCheckpoint((*writer)->CheckpointText(), &recovery).ok());
+  for (ServiceState* service : {writer->get(), restored->get()}) {
+    ASSERT_TRUE(service->Handle(SubmitReq("a", 1, 2, GB(400))).ok());
+    EXPECT_EQ(1u, service->planner().full_solves());
+    EXPECT_EQ("1", service->Handle(Req("query", {{"key", "a"}})).fields.at("running"));
+  }
+  EXPECT_EQ((*writer)->StateDigest(), (*restored)->StateDigest());
+}
+
+// Under default planning every write solves at once, so a checkpoint holds
+// no pending events; the restored service must serve the writer's plan (not
+// a stand-in) to the first `plan` request, and count no solve for it.
+TEST(ServiceCheckpoint, RestoredPlanMatchesTheWritersPlan) {
+  struct Case {
+    const char* policy;
+    const char* gpu_types;  // Empty: uniform fleet.
+  };
+  for (const Case& c : {Case{"fifo+silod", ""}, Case{"fifo+coordl", ""},
+                        Case{"sjf+silod", "gpu-type name=v100 count=5 speed=1;"
+                                          "gpu-type name=k80 count=3 speed=0.5"}}) {
+    SCOPED_TRACE(c.policy);
+    ServiceConfig config = SmallCluster(c.policy);
+    if (*c.gpu_types != '\0') {
+      Result<ClusterTopology> typed = ClusterTopology::Parse(c.gpu_types);
+      ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+      config.topology = *typed;
+    }
+    Result<std::unique_ptr<ServiceState>> writer = ServiceState::Create(config);
+    Result<std::unique_ptr<ServiceState>> restored = ServiceState::Create(config);
+    ASSERT_TRUE(writer.ok() && restored.ok());
+    for (const ServeRequest& request :
+         {SubmitReq("a", 0, 2, GB(400)), SubmitReq("b", 10, 4, GB(800)),
+          SubmitReq("c", 20, 4, GB(200)),
+          Req("progress", {{"key", "a"},
+                           {"t", "30"},
+                           {"remaining", "500000000000"},
+                           {"effective", "50000000000"}}),
+          Req("complete", {{"key", "a"}, {"t", "40"}}), SubmitReq("d", 50, 1, GB(400))}) {
+      ASSERT_TRUE((*writer)->Handle(request).ok()) << request.verb;
+    }
+    ASSERT_EQ(0u, (*writer)->planner().pending_events());
+    RecoveryInfo recovery;
+    ASSERT_TRUE((*restored)->RestoreFromCheckpoint((*writer)->CheckpointText(), &recovery).ok());
+    EXPECT_EQ(0u, (*restored)->planner().full_solves());
+
+    const ServeRequest plan = Req("plan", {{"t", "60"}});
+    const ServeResponse want = (*writer)->Handle(plan);
+    const ServeResponse got = (*restored)->Handle(plan);
+    ASSERT_TRUE(want.ok() && got.ok());
+    for (const char* field :
+         {"digest", "running", "gpus-used", "cache-bytes", "cache-model", "manages-remote-io"}) {
+      EXPECT_EQ(want.fields.at(field), got.fields.at(field)) << field;
+    }
+    EXPECT_TRUE(PlansBitIdentical((*writer)->PlanNow(), (*restored)->PlanNow()));
+    EXPECT_EQ(0u, (*restored)->planner().full_solves());
+    EXPECT_EQ((*writer)->StateDigest(), (*restored)->StateDigest());
+  }
 }
 
 TEST_F(ServiceJournalTest, CheckpointWithoutJournalIsFailedPrecondition) {

@@ -525,32 +525,6 @@ TEST(FlowEngine, ZoneCrashLossBoundedAndAttributedPerZone) {
   EXPECT_EQ(aware.faults.blocks_lost_by_zone.begin()->first, "rack0");
 }
 
-// The per-dataset zone solves between rehash events are mutually independent
-// (each writes only its own dataset's state and its own jobs), so fanning
-// them out on the worker pool must be bit-identical to the sequential escape
-// hatch — not merely statistically close.
-TEST(FlowEngine, ParallelZoneSolveBitIdenticalToSequential) {
-  const Trace trace = SeededMixTrace(/*num_jobs=*/1000, /*seed=*/33);
-  ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
-  config.sim = SmallCluster(GB(60), MBps(800));
-  config.sim.resources.total_gpus = 256;
-  config.sim.resources.num_servers = 8;
-  const Result<ClusterTopology> topology =
-      ClusterTopology::Parse("rack0=0-3;rack1=4-7;loss-bound=0.5");
-  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
-  config.sim.topology = *topology;
-  config.engine = EngineKind::kFlow;
-
-  config.sim.zone_solve_threads = 0;  // Sequential escape hatch.
-  const SimResult sequential = RunExperiment(trace, config);
-  config.sim.zone_solve_threads = 4;
-  const SimResult parallel = RunExperiment(trace, config);
-
-  EXPECT_TRUE(PhysicallyIdentical(sequential, parallel));
-  EXPECT_EQ(sequential.jobs.size(), 1000u);
-}
-
 // ---------------------------------------------------------- Heterogeneity --
 
 // Declaring a GPU-type table whose speeds are all 1.0 must be a bit-for-bit

@@ -6,7 +6,7 @@
 #   tools/ci.sh            # all stages
 #   tools/ci.sh strict     # warnings stage only
 #   tools/ci.sh asan       # ASan/UBSan stage only
-#   tools/ci.sh tsan       # TSan rt_test stage only
+#   tools/ci.sh tsan       # TSan rt_test + storage_test stage only
 #   tools/ci.sh smoke      # fault-churn benchmark smoke only
 #   tools/ci.sh zone-smoke # zone-aware vs oblivious placement smoke only
 #   tools/ci.sh scaling-smoke # fine-engine throughput + bit-identity smoke only
@@ -51,20 +51,19 @@ fi
 
 if [[ "$stage" == "all" || "$stage" == "tsan" ]]; then
   # The genuinely concurrent code: the real-thread runtime (loaders,
-  # trainers, scheduler, fault injection) and the flow engine's zone-solve
-  # ThreadPool (sim_test's parallel-vs-sequential bit-identity case).  Build
-  # and run just their tests under ThreadSanitizer.  Measured cost of this
-  # stage: ~90 s wall on a 16-core container (~80 s build + ~10 s of tests
-  # under TSan), cheap enough to keep in the default `all` pipeline.
+  # trainers, scheduler, fault injection; rt_test) and the storage layer it
+  # runs on (storage_test: DataPipeline's multi-worker loaders and the
+  # mutex-guarded InMemRemote store).  The simulators are single-threaded.
+  # Build and run just these tests under ThreadSanitizer.
   echo "=== [tsan] configure ==="
   cmake -B build-ci-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
   echo "=== [tsan] build ==="
-  cmake --build build-ci-tsan -j "$jobs" --target rt_test sim_test
+  cmake --build build-ci-tsan -j "$jobs" --target rt_test storage_test
   echo "=== [tsan] test ==="
-  ctest --test-dir build-ci-tsan -R '^(rt_test|sim_test)$' --output-on-failure
+  ctest --test-dir build-ci-tsan -R '^(rt_test|storage_test)$' --output-on-failure
 fi
 
 if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
@@ -98,10 +97,9 @@ fi
 
 if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
   # Engine-scaling smoke: a short 4k-job sweep.  bench_engine_scaling itself
-  # enforces the two bit-identity invariants (calendar vs linear-scan stepping,
-  # parallel vs sequential zone solves) and, via --baseline, fails if the
-  # calendar path's events/sec regresses more than 30% against the committed
-  # BENCH_engine_scaling.json.
+  # enforces calendar vs linear-scan stepping bit-identity and, via
+  # --baseline, fails if the calendar path's events/sec regresses more than
+  # 30% against the committed BENCH_engine_scaling.json.
   echo "=== [scaling-smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [scaling-smoke] build ==="

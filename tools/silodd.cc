@@ -6,9 +6,9 @@
 //
 // A single-process event-loop daemon: clients submit/complete/cancel jobs
 // over a Unix-domain socket (serve/proto.h framing) and the daemon keeps an
-// always-current AllocationPlan via the incremental planner — dirty-set
-// tracking, delta water-filling for the order-based SiloD policies,
-// epoch-batched re-solves, and admission control in front of the scheduler.
+// always-current AllocationPlan via the planner — the registry-built batch
+// scheduler with epoch-coalesced re-solves, the same for every policy pair —
+// and admission control in front of the scheduler.
 // Drive it with silod_client.
 //
 // Crash safety (docs/MODEL.md §12): with --journal, every mutating request
@@ -71,10 +71,10 @@ int main(int argc, char** argv) {
   flags.Define("max-queue", "1024",
                "admission-queued submissions beyond this are rejected (0 = never queue)");
   flags.Define("replan-interval-s", "0",
-               "epoch batching: coalesce dirty events for this much virtual time between "
+               "epoch batching: coalesce pending events for this much virtual time between "
                "re-solves (0 = re-solve on every event)");
   flags.Define("coalesce-events", "1",
-               "epoch batching: re-solve early once this many dirty marks are pending");
+               "epoch batching: re-solve early once this many events are pending");
   flags.Define("journal", "",
                "write-ahead request journal path; on restart the surviving records replay to "
                "rebuild the exact pre-crash state (empty = no durability)");
