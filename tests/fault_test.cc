@@ -822,6 +822,96 @@ TEST(EngineFaults, ZonalChurnIsDeterministicOnBothEngines) {
   }
 }
 
+// The §6 ignore rules, event by event: a hand-built plan with every fault
+// kind plus events neither engine can apply.  Both engines must agree on
+// every counter, and the counters must match a hand count.
+TEST(EngineFaults, IgnoreRulesAndCountersMatchAcrossEngines) {
+  const ModelZoo zoo;
+  Trace trace;
+  for (int i = 0; i < 2; ++i) {
+    const DatasetId d = trace.catalog.Add("d" + std::to_string(i), GB(4), MB(256));
+    JobSpec job = MakeJob(static_cast<JobId>(i), zoo, "ResNet-50", 4, d, 1.0, 0);
+    job.ideal_io = MBps(200);
+    job.total_bytes = 20 * GB(4);  // >= 400 s at ideal rate: both run past t=200.
+    trace.jobs.push_back(job);
+  }
+  SimConfig sim;
+  sim.resources.total_gpus = 4;  // One job at a time: job 1 queues behind job 0.
+  sim.resources.total_cache = GB(8);
+  sim.resources.remote_io = MBps(400);
+  sim.resources.num_servers = 4;
+  sim.topology = *ClusterTopology::Parse("rack0=0-1");
+
+  const auto event = [](Seconds t, FaultKind kind, int target = -1, double severity = 1.0) {
+    FaultEvent e;
+    e.time = t;
+    e.kind = kind;
+    e.target = target;
+    e.severity = severity;
+    return e;
+  };
+  FaultPlan plan;
+  plan.events = {
+      event(10, FaultKind::kCacheServerCrash, -1),          // Ignored: out of range.
+      event(12, FaultKind::kCacheServerRecover, 4),         // Ignored: server N.
+      event(20, FaultKind::kCacheServerCrash, 1),           // Counted.
+      event(25, FaultKind::kCacheServerCrash, 1),           // Ignored: already dead.
+      event(30, FaultKind::kCacheServerRecover, 2),         // Ignored: alive.
+      event(40, FaultKind::kCacheServerRecover, 1),         // Counted.
+      event(50, FaultKind::kRemoteDegrade, -1, 0.5),        // Window 1 opens.
+      event(60, FaultKind::kRemoteDegrade, -1, 1.0),        // Window 1 closes.
+      event(70, FaultKind::kWorkerCrash, 1),                // Ignored: queued.
+      event(75, FaultKind::kWorkerRestart, 1),              // Ignored: never crashed.
+      event(77, FaultKind::kWorkerCrash, 7),                // Ignored: no such job.
+      event(78, static_cast<FaultKind>(99)),                // Dropped, not counted.
+      event(80, FaultKind::kWorkerCrash, 0),                // Counted.
+      event(90, FaultKind::kWorkerRestart, 0),              // Counted.
+      event(100, FaultKind::kDataManagerRestart),           // Counted.
+      event(110, FaultKind::kRemoteDegrade, -1, 0.8),       // Window 2, open at the end.
+      event(Days(200), FaultKind::kCacheServerCrash, 0),    // Ignored: after the run.
+      event(Days(200), FaultKind::kDataManagerRestart),     // Ignored: after the run.
+  };
+  sim.faults = plan;
+
+  std::vector<FaultStats> stats;
+  for (const EngineKind engine : {EngineKind::kFine, EngineKind::kFlow}) {
+    ExperimentConfig config;
+    config.scheduler = SchedulerKind::kFifo;
+    config.cache = CacheSystem::kSiloD;
+    config.sim = sim;
+    config.engine = engine;
+    const SimResult result = RunExperiment(trace, config);
+    const char* name = engine == EngineKind::kFine ? "fine" : "flow";
+    ASSERT_EQ(result.jobs.size(), trace.jobs.size()) << name;
+    for (const JobResult& j : result.jobs) {
+      EXPECT_GT(j.finish_time, 200) << name << " job " << j.id;
+    }
+    const FaultStats& f = result.faults;
+    EXPECT_EQ(f.server_crashes, 1) << name;
+    EXPECT_EQ(f.server_recoveries, 1) << name;
+    EXPECT_EQ(f.worker_crashes, 1) << name;
+    EXPECT_EQ(f.worker_restarts, 1) << name;
+    EXPECT_EQ(f.degrade_windows, 2) << name;
+    EXPECT_EQ(f.dm_restarts, 1) << name;
+    EXPECT_EQ(f.ignored_events, 9) << name;
+    ASSERT_EQ(f.windows.size(), 2u) << name;
+    EXPECT_NEAR(f.windows[0].start, 50, 1e-6) << name;
+    EXPECT_NEAR(f.windows[0].end, 60, 1e-6) << name;
+    EXPECT_NEAR(f.windows[1].start, 110, 1e-6) << name;
+    EXPECT_GT(f.windows[1].end, 200) << name;  // Closed when the run ends.
+    stats.push_back(f);
+  }
+  const FaultStats& fine = stats[0];
+  const FaultStats& flow = stats[1];
+  EXPECT_EQ(fine.server_crashes, flow.server_crashes);
+  EXPECT_EQ(fine.server_recoveries, flow.server_recoveries);
+  EXPECT_EQ(fine.worker_crashes, flow.worker_crashes);
+  EXPECT_EQ(fine.worker_restarts, flow.worker_restarts);
+  EXPECT_EQ(fine.degrade_windows, flow.degrade_windows);
+  EXPECT_EQ(fine.dm_restarts, flow.dm_restarts);
+  EXPECT_EQ(fine.ignored_events, flow.ignored_events);
+}
+
 // ------------------------------------------- Sharded DataManager faults --
 
 TEST(DataManagerShards, CrashDropsOnlyThatShardAndRecoveryRefills) {
