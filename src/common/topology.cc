@@ -218,6 +218,35 @@ Status ClusterTopology::Validate(int num_servers) const {
   return Status::Ok();
 }
 
+Result<ClusterTopology> ClusterTopology::Resolve(int num_servers, int total_gpus) const {
+  ClusterTopology resolved = *this;
+  if (!empty()) {
+    if (Status st = Validate(num_servers); !st.ok()) {
+      return st;
+    }
+    // Uncovered servers are independent singleton failure domains.
+    resolved = Cover(num_servers);
+  }
+  if (has_gpu_types() && TotalTypedGpus() != total_gpus) {
+    return Status::InvalidArgument("gpu-type counts sum to " + std::to_string(TotalTypedGpus()) +
+                                   " but the cluster has " + std::to_string(total_gpus) + " GPUs");
+  }
+  return resolved;
+}
+
+Status ClusterTopology::CheckGangFits(std::int64_t gpus) const {
+  int widest = 0;
+  for (const GpuTypeSpec& t : gpu_types_) {
+    widest = std::max(widest, t.count);
+  }
+  if (has_gpu_types() && gpus > widest) {
+    return Status::InvalidArgument("job needs " + std::to_string(gpus) +
+                                   " GPUs but the widest gpu-type pool has " +
+                                   std::to_string(widest));
+  }
+  return Status::Ok();
+}
+
 std::string ClusterTopology::ToSpec() const {
   std::string spec;
   for (const TopologyZone& z : zones_) {

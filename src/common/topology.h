@@ -27,6 +27,7 @@
 #ifndef SILOD_SRC_COMMON_TOPOLOGY_H_
 #define SILOD_SRC_COMMON_TOPOLOGY_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,22 @@ class ClusterTopology {
 
   // All zones within [0, num_servers); does not require full cover.
   Status Validate(int num_servers) const;
+
+  // The topology a cluster of `num_servers` cache servers and `total_gpus`
+  // GPUs runs with: declared zones Validate()d and Cover()ed, declared
+  // gpu-type counts summing to total_gpus.  The engines and the service
+  // resolve their configured topology through this.
+  Result<ClusterTopology> Resolve(int num_servers, int total_gpus) const;
+
+  // InvalidArgument when gpu types are declared and a gang of `gpus` is wider
+  // than every pool: gangs never span types, so it could never start.
+  Status CheckGangFits(std::int64_t gpus) const;
+
+  // What a Snapshot carries: this topology when it declares zones or gpu
+  // types, nullptr (a zone-oblivious uniform fleet) otherwise.
+  const ClusterTopology* IfDeclared() const {
+    return empty() && !has_gpu_types() ? nullptr : this;
+  }
 
   // Canonical spec; Parse(ToSpec()) is the identity.
   std::string ToSpec() const;

@@ -170,23 +170,12 @@ Result<std::unique_ptr<ServiceState>> ServiceState::Create(ServiceConfig config)
     return Status::InvalidArgument("total_gpus must be positive");
   }
   auto service = std::unique_ptr<ServiceState>(new ServiceState(std::move(config)));
-  if (!service->config_.topology.empty()) {
-    const Status st = service->config_.topology.Validate(service->config_.resources.num_servers);
-    if (!st.ok()) {
-      return st;
-    }
-    service->covered_topology_ =
-        service->config_.topology.Cover(service->config_.resources.num_servers);
-  } else if (service->config_.topology.has_gpu_types()) {
-    // gpu-type entries without zones still need to reach the scheduler.
-    service->covered_topology_ = service->config_.topology;
+  Result<ClusterTopology> topology = service->config_.topology.Resolve(
+      service->config_.resources.num_servers, service->config_.resources.total_gpus);
+  if (!topology.ok()) {
+    return topology.status();
   }
-  if (service->config_.topology.has_gpu_types() &&
-      service->config_.topology.TotalTypedGpus() != service->config_.resources.total_gpus) {
-    return Status::InvalidArgument(
-        "gpu-type counts sum to " + std::to_string(service->config_.topology.TotalTypedGpus()) +
-        " but the cluster has " + std::to_string(service->config_.resources.total_gpus) + " GPUs");
-  }
+  service->covered_topology_ = std::move(topology).value();
   Result<std::unique_ptr<IncrementalPlanner>> planner = IncrementalPlanner::Create(
       service->config_.policy, service->config_.scheduler, service->config_.planning);
   if (!planner.ok()) {
@@ -244,9 +233,7 @@ Result<std::unique_ptr<ServiceState>> ServiceState::CreateFromJournal(
 }
 
 Snapshot ServiceState::MakeSnapshot() const {
-  const bool have_topology = !covered_topology_.empty() || covered_topology_.has_gpu_types();
-  return table_.BuildSnapshot(now_, config_.resources,
-                              have_topology ? &covered_topology_ : nullptr);
+  return table_.BuildSnapshot(now_, config_.resources, covered_topology_.IfDeclared());
 }
 
 Status ServiceState::AdvanceClock(const ServeRequest& request) {
@@ -436,19 +423,9 @@ ServeResponse ServiceState::Submit(const ServeRequest& request) {
     return ServeResponse::FromStatus(Status::InvalidArgument(
         "submit: gpus, ideal-io, total-bytes and dataset-size must be positive"));
   }
-  if (covered_topology_.has_gpu_types()) {
-    // Gang scheduling never splits a job across type pools, so a gang wider
-    // than every pool could never start — reject it instead of queueing it
-    // forever.
-    int widest = 0;
-    for (const GpuTypeSpec& t : covered_topology_.gpu_types()) {
-      widest = std::max(widest, t.count);
-    }
-    if (*gpus > widest) {
-      return ServeResponse::FromStatus(Status::InvalidArgument(
-          "submit: job needs " + std::to_string(*gpus) + " GPUs but the widest gpu-type pool has " +
-          std::to_string(widest)));
-    }
+  // Reject a gang wider than every gpu-type pool instead of queueing it forever.
+  if (const Status fits = covered_topology_.CheckGangFits(*gpus); !fits.ok()) {
+    return ServeResponse::FromStatus(Status::InvalidArgument("submit: " + fits.message()));
   }
   if (table_.Find(*key).ok()) {
     return ServeResponse::FromStatus(Status::AlreadyExists("job '" + *key + "' already submitted"));

@@ -24,9 +24,9 @@
 #include "src/cache/cache_manager.h"
 #include "src/cache/item_cache.h"
 #include "src/common/rng.h"
-#include "src/fault/fault_injector.h"
 #include "src/sched/policy.h"
 #include "src/sim/cluster.h"
+#include "src/sim/engine_core.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
 #include "src/workload/curriculum.h"
@@ -35,11 +35,6 @@
 namespace silod {
 
 struct FineEngineOptions {
-  // Blocks the loader may run ahead of computation.  Fetched blocks land on
-  // local disk, so real loaders effectively buffer far ahead within an epoch;
-  // a large window avoids Jensen-effect throughput loss when hit and miss
-  // runs interleave.  Small values model a shallow in-memory pipeline.
-  int prefetch_window = 256;
   // Metrics sampling period on top of event-driven samples.
   Seconds sample_period = Minutes(5);
   // Reference path for tests and bench_engine_scaling: find next/due events
@@ -49,7 +44,7 @@ struct FineEngineOptions {
   bool use_linear_scan = false;
 };
 
-class FineEngine {
+class FineEngine : private FaultPhysics {
  public:
   FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler, SimConfig config,
              FineEngineOptions options = {});
@@ -116,7 +111,7 @@ class FineEngine {
     Rng rng{1};
   };
 
-  Snapshot BuildSnapshot(Seconds now);
+  std::vector<JobView> JobViews();  // Active jobs, ascending id.
   void Reschedule(Seconds now);
   // Membership of active_ (arrived, not finished, not crashed), kept sorted
   // by job id so scans visit jobs in exactly the order the full-vector loops
@@ -128,21 +123,24 @@ class FineEngine {
   void OnFetchComplete(JobState& s, Seconds now);
   void BeginEpoch(JobState& s);
   std::int64_t NextBlock(JobState& s);
-  bool CacheAccess(JobState& s, std::int64_t block);  // True on hit.
-  void CacheAdmit(JobState& s, std::int64_t block);
+  bool CacheAccess(JobState& s, std::int64_t block);  // True on hit; admits on miss.
   void RecordMetrics(Seconds now);
   Bytes EffectiveBytesFor(const JobState& s);
 
-  // Fault plumbing (SimConfig::faults): events fire from the main event loop
-  // and each one triggers an immediate reschedule.
-  void ApplyFault(const FaultEvent& event, Seconds now);
-  // Re-derives pool capacity, server count and fabric rate from the alive-server
-  // set; evict_fraction > 0 additionally drops that share of resident blocks
-  // (the crashed server's contents).  When a zone-aware crash already charged
-  // the dataset-quota caches per zone share, evict_quota_caches=false skips
-  // the uniform pass over them (shared/private pools still shed uniformly).
+  // FaultPhysics: what a fault does to item caches and staged compute.
+  Worker WorkerOf(JobId id) const override;
+  void OnServerCrash(const ServerCrash& crash) override;
+  void OnServerRecover() override;
+  void OnWorkerCrash(JobId id, Seconds now) override;
+  void OnWorkerRestart(JobId id) override;
+  void OnDataManagerRestart() override;
+  // Fits the pools and the fabric rate to the live resources (which
+  // EngineCore already rescaled); evict_fraction > 0 additionally drops that
+  // share of resident blocks (the crashed server's contents).  When a
+  // zone-aware crash already charged the dataset-quota caches per zone share,
+  // evict_quota_caches=false skips the uniform pass over them (shared/private
+  // pools still shed uniformly).
   void ResizeCachePool(double evict_fraction, bool evict_quota_caches = true);
-  void CloseDegradeWindow(Seconds end);
 
   // Event-calendar plumbing (no-ops on the calendar under use_linear_scan).
   void SetJobEvent(JobState& s, Seconds t);
@@ -151,8 +149,8 @@ class FineEngine {
   bool FireJobEvent(JobState& s, Seconds now);  // True if the job finished.
 
   const Trace* trace_;
-  std::shared_ptr<Scheduler> scheduler_;
   SimConfig config_;
+  EngineCore core_;  // Fault and fleet bookkeeping, arrivals, solves.
   FineEngineOptions options_;
 
   std::vector<JobState> jobs_;
@@ -178,15 +176,6 @@ class FineEngine {
   std::vector<std::int32_t> due_;            // Scratch: keys due this step.
   bool flows_dirty_ = true;                  // Miss set or throttles changed.
   EngineStepCounters counters_;
-
-  FaultInjector injector_;                   // Cursor over SimConfig::faults.
-  ClusterResources base_resources_;          // Nominal (no-fault) resources.
-  std::vector<bool> server_alive_;
-  int alive_servers_ = 0;
-  std::vector<int> zone_alive_;              // Alive members per topology zone.
-  Seconds degrade_start_ = -1;               // Open degrade window, -1 if none.
-  FaultStats fault_stats_;
-  std::vector<FaultEvent> due_faults_;       // Scratch.
 };
 
 }  // namespace silod

@@ -17,15 +17,15 @@
 #include <memory>
 #include <vector>
 
-#include "src/fault/fault_injector.h"
 #include "src/sched/policy.h"
 #include "src/sim/cluster.h"
+#include "src/sim/engine_core.h"
 #include "src/sim/metrics.h"
 #include "src/workload/trace_gen.h"
 
 namespace silod {
 
-class FlowEngine {
+class FlowEngine : private FaultPhysics {
  public:
   FlowEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler, SimConfig config);
 
@@ -67,7 +67,7 @@ class FlowEngine {
     std::vector<double> zone_limit;
   };
 
-  Snapshot BuildSnapshot(Seconds now) const;
+  std::vector<JobView> JobViews() const;  // Arrived, unfinished, not crashed.
   void Reschedule(Seconds now);
   // Shrinks dataset d's fluid to `limit`, scaling its jobs' effectiveness in
   // proportion (uniform random eviction removes effective and ineffective
@@ -79,8 +79,16 @@ class FlowEngine {
   void ApplyDatasetQuota(std::size_t d);
   void ComputeRates(Seconds now);
   void RecordMetrics(Seconds now);
-  void ApplyFault(const FaultEvent& event, Seconds now);
-  void CloseDegradeWindow(Seconds end);
+  // FaultPhysics: what a fault does to cached fluid and training progress.
+  Worker WorkerOf(JobId id) const override;
+  void OnServerCrash(const ServerCrash& crash) override;
+  void OnServerRecover() override {}  // Rejoins empty; the fill dynamics re-warm it.
+  void OnWorkerCrash(JobId id, Seconds now) override;
+  void OnWorkerRestart(JobId id) override;
+  // The fluid model's Data Manager state (allocations + disk contents)
+  // restores exactly, so a restart is performance-neutral here; the fine
+  // engine and the real-thread runtime exercise the snapshot/restore path.
+  void OnDataManagerRestart() override {}
   // Applies a zone-aware quota: adopts the plan's per-zone shares as limits,
   // migrates over-cap fluid into zones with headroom (shares that moved — or
   // a zone that died — rebalance over the intra-cluster fabric), and only
@@ -95,11 +103,10 @@ class FlowEngine {
   // rehash to the survivors, so an outage never strands quota).  Equals
   // zone_limit exactly when every member is alive.
   std::vector<double> ZoneFillCaps(const DatasetState& ds) const;
-  double ZoneAliveFraction(int zone) const;
 
   const Trace* trace_;
-  std::shared_ptr<Scheduler> scheduler_;
   SimConfig config_;
+  EngineCore core_;  // Fault and fleet bookkeeping, arrivals, solves.
   double prefetch_rate_ = 0;  // Leftover-egress prefetch traffic (Hoard mode).
 
   std::vector<JobState> jobs_;          // Indexed by JobId.
@@ -111,15 +118,6 @@ class FlowEngine {
   std::vector<std::vector<JobId>> dataset_jobs_;
   AllocationPlan plan_;
   MetricsCollector metrics_;
-
-  FaultInjector injector_;              // Cursor over SimConfig::faults.
-  ClusterResources base_resources_;     // Nominal (no-fault) resources.
-  std::vector<bool> server_alive_;
-  int alive_servers_ = 0;
-  std::vector<int> zone_alive_;         // Alive members per topology zone.
-  Seconds degrade_start_ = -1;          // Open degrade window, -1 if none.
-  FaultStats fault_stats_;
-  std::vector<FaultEvent> due_faults_;  // Scratch.
 };
 
 }  // namespace silod

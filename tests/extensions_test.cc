@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/core/recovery.h"
@@ -101,6 +104,48 @@ TEST(TraceIo, RejectsMalformedInput) {
   std::string csv = TraceToCsv(t);
   csv += "1,x,ResNet-50,1\n";  // Truncated row.
   EXPECT_FALSE(TraceFromCsv(csv).ok());
+
+  // One field of an otherwise valid row replaced: partial, empty, non-finite
+  // and out-of-range numbers are rejected with the row number, never read as
+  // a prefix or passed on to the estimator.
+  const std::string valid = TraceToCsv(t);
+  ASSERT_TRUE(TraceFromCsv(valid).ok());
+  const std::string header = valid.substr(0, valid.find('\n') + 1);
+  const std::string line = valid.substr(header.size(), valid.find('\n', header.size()) - header.size());
+  const auto with_field = [&](int col, const std::string& value) {
+    std::vector<std::string> fields;
+    std::stringstream in(line);
+    for (std::string field; std::getline(in, field, ',');) {
+      fields.push_back(field);
+    }
+    fields[static_cast<std::size_t>(col)] = value;
+    std::string row;
+    for (const std::string& field : fields) {
+      row += (row.empty() ? "" : ",") + field;
+    }
+    return header + row + "\n";
+  };
+  const struct {
+    int col;
+    const char* value;
+  } kBadFields[] = {
+      {0, "x"},       {3, "4x"},     {3, ""},        {3, "0"},       {3, "-2"},
+      {3, "99999999999"},            {5, "1e9"},     {5, "0"},       {6, "-1"},
+      {7, "nan"},     {7, "inf"},    {7, "0"},       {7, "-5"},      {7, "12abc"},
+      {8, ""},        {8, "0"},      {9, "nan"},     {9, "-inf"},    {9, "-1"},
+      {9, "1s"},      {10, "2"},     {10, "yes"},    {11, ""},       {12, "nan"},
+      {13, "-0.5"},   {14, "1.5"},   {14, "-1"},
+  };
+  for (const auto& bad : kBadFields) {
+    const Result<Trace> loaded = TraceFromCsv(with_field(bad.col, bad.value));
+    ASSERT_FALSE(loaded.ok()) << "column " << bad.col << " = '" << bad.value << "'";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("row 2: "), std::string::npos)
+        << loaded.status().ToString();
+  }
+  // Values that are merely unusual still parse.
+  EXPECT_TRUE(TraceFromCsv(with_field(9, "0")).ok());
+  EXPECT_TRUE(TraceFromCsv(with_field(7, "1e8")).ok());
 }
 
 TEST(TraceIo, RoundTripSimulatesIdentically) {

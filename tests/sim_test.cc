@@ -445,6 +445,20 @@ TEST(FineEngine, QueuedJobStartsAtPredecessorFinishNotNextTick) {
   }
 }
 
+// An empty trace is a caller error on both engines: the constructor stops it
+// before the run reads a first arrival that does not exist.
+TEST(FineEngine, EmptyTraceDies) {
+  ExperimentConfig config;
+  config.engine = EngineKind::kFine;
+  EXPECT_DEATH({ RunExperiment(Trace{}, config); }, "empty trace");
+}
+
+TEST(FlowEngine, EmptyTraceDies) {
+  ExperimentConfig config;
+  config.engine = EngineKind::kFlow;
+  EXPECT_DEATH({ RunExperiment(Trace{}, config); }, "empty trace");
+}
+
 // --------------------------------------------------------------- Fidelity --
 
 // The §7.2-style cross-validation: both engines run the same multi-job trace

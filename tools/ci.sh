@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 CI: strict-warnings build + tests, an ASan/UBSan build + tests, a
 # TSan build of the real-thread runtime tests, and a fault-churn benchmark
-# smoke run.
+# smoke run with a fault-path digest check.
 #
 #   tools/ci.sh            # all stages
 #   tools/ci.sh strict     # warnings stage only
 #   tools/ci.sh asan       # ASan/UBSan stage only
 #   tools/ci.sh tsan       # TSan rt_test + storage_test stage only
-#   tools/ci.sh smoke      # fault-churn benchmark smoke only
+#   tools/ci.sh smoke      # fault-churn benchmark smoke + fault-path digest only
 #   tools/ci.sh zone-smoke # zone-aware vs oblivious placement smoke only
 #   tools/ci.sh scaling-smoke # fine-engine throughput + bit-identity smoke only
 #   tools/ci.sh rt-fault-smoke # multi-process worker crash + minidump replay smoke only
@@ -68,13 +68,30 @@ fi
 
 if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   # Fault-churn sweep in smoke mode: both engines survive a seeded crash
-  # schedule with every job completing; fails on any lost job.
+  # schedule with every job completing; fails on any lost job.  Then the
+  # fault-path digest: one seeded run per engine exercising every fault kind
+  # (server and zone crashes, degrade windows, DM restarts, worker crashes
+  # under lose-partial-epoch, ignored events) must reproduce the committed
+  # BASELINE_fault_paths.sha256 byte for byte.
   echo "=== [smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [smoke] build ==="
-  cmake --build build-ci-smoke -j "$jobs" --target bench_fault_churn
+  cmake --build build-ci-smoke -j "$jobs" --target bench_fault_churn silod_sim
   echo "=== [smoke] run ==="
   ./build-ci-smoke/bench/bench_fault_churn --smoke build-ci-smoke/BENCH_fault_churn.json
+  for engine in fine flow; do
+    ./build-ci-smoke/tools/silod_sim --engine="$engine" --jobs=24 --gpus=16 --servers=8 \
+        --cache-tb=1 --egress-gbps=2 --seed=7 --fault-server-crashes-per-hour=2 \
+        --fault-worker-crashes-per-hour=2 --fault-degrade-windows-per-hour=1 \
+        --fault-dm-restarts-per-hour=1 \
+        --fault-zone="zone=rack0:servers=0-3:crashes-per-hour=1" \
+        --restart-cost=lose-partial-epoch \
+        --json="build-ci-smoke/fault_paths_${engine}.json" >/dev/null
+  done
+  (cd build-ci-smoke && sha256sum fault_paths_fine.json fault_paths_flow.json) \
+      > build-ci-smoke/fault_paths.sha256
+  diff BASELINE_fault_paths.sha256 build-ci-smoke/fault_paths.sha256 \
+      || { echo "smoke: fault-path reports drifted from the committed baseline"; exit 1; }
 fi
 
 if [[ "$stage" == "all" || "$stage" == "zone-smoke" ]]; then

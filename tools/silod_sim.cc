@@ -387,19 +387,13 @@ int main(int argc, char** argv) {
     }
     topology = *parsed;
   }
-  if (topology.has_gpu_types() &&
-      topology.TotalTypedGpus() != config.sim.resources.total_gpus) {
-    std::fprintf(stderr, "--gpu-types: counts sum to %d but the cluster has --gpus=%d\n",
-                 topology.TotalTypedGpus(), config.sim.resources.total_gpus);
+  if (const Result<ClusterTopology> resolved = topology.Resolve(
+          config.sim.resources.num_servers, config.sim.resources.total_gpus);
+      !resolved.ok()) {
+    std::fprintf(stderr, "--topology/--gpu-types: %s\n", resolved.status().ToString().c_str());
     return 2;
   }
-  if (!topology.empty() || topology.has_gpu_types()) {
-    if (!topology.empty()) {
-      if (const Status st = topology.Validate(config.sim.resources.num_servers); !st.ok()) {
-        std::fprintf(stderr, "--topology: %s\n", st.ToString().c_str());
-        return 2;
-      }
-    }
+  if (topology.IfDeclared() != nullptr) {
     config.sim.topology = topology;
   }
 
