@@ -6,10 +6,6 @@ namespace silod {
 
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) { plan_.Sort(); }
 
-Seconds FaultInjector::NextTime() const {
-  return exhausted() ? kInfiniteTime : plan_.events[next_].time;
-}
-
 void FaultInjector::PopDue(Seconds now, std::vector<FaultEvent>* due) {
   while (next_ < plan_.events.size() && plan_.events[next_].time <= now) {
     due->push_back(plan_.events[next_]);
