@@ -8,6 +8,7 @@
 // and the per-job results as CSV for external analysis.
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 
 #include "src/common/flags.h"
 #include "src/common/table.h"
@@ -581,6 +582,8 @@ int main(int argc, char** argv) {
 
   if (!flags.GetString("dump-jobs").empty()) {
     std::ofstream out(flags.GetString("dump-jobs"));
+    // Full double precision, so a diff of two dumps sees any drift in times.
+    out << std::setprecision(17);
     out << "id,submit_seconds,start_seconds,finish_seconds,jct_seconds\n";
     for (const JobResult& j : result.jobs) {
       out << j.id << "," << j.submit_time << "," << j.first_start_time << "," << j.finish_time
