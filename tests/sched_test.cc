@@ -3,10 +3,14 @@
 // policies, and plan validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
+#include <map>
 #include <memory>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/estimator/ioperf.h"
 #include "src/sched/fifo.h"
@@ -15,6 +19,7 @@
 #include "src/sched/sjf.h"
 #include "src/sched/storage_policies.h"
 #include "src/sched/zone_spread.h"
+#include "src/storage/remote_store.h"
 #include "src/workload/model_zoo.h"
 
 namespace silod {
@@ -284,6 +289,252 @@ TEST_F(SchedTest, GavelImprovesWorstJobOverQuiver) {
                                           c, TB(1.36)));
   }
   EXPECT_GT(worst_silod, worst_quiver * 1.5);
+}
+
+// A reference Gavel max-min solve: the straightforward map-based feasibility
+// oracle (re-sorting every dataset on every probe) under the full 100-step
+// ratio bisection.  SolveMaxMinFairness must reproduce it bit for bit.
+struct RefJob {
+  const JobView* view = nullptr;
+  BytesPerSec base = 0;
+  double speed = 1.0;
+  BytesPerSec ideal = 0;
+};
+
+bool RefTargetsFeasible(const Snapshot& snapshot, const std::vector<RefJob>& jobs,
+                        const std::vector<BytesPerSec>& targets,
+                        std::map<DatasetId, Bytes>* dataset_cache,
+                        std::vector<BytesPerSec>* required_io) {
+  dataset_cache->clear();
+  required_io->assign(jobs.size(), 0);
+  const BytesPerSec cap = snapshot.resources.per_job_remote_cap;
+  std::map<DatasetId, Bytes> floor;
+  std::map<DatasetId, double> saving_rate;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Dataset& d = snapshot.catalog->Get(jobs[i].view->spec->dataset);
+    saving_rate[d.id] += targets[i] / static_cast<double>(d.size);
+    if (std::isfinite(cap) && targets[i] > cap) {
+      const double frac = 1.0 - cap / targets[i];
+      const Bytes need = static_cast<Bytes>(frac * static_cast<double>(d.size)) + 1;
+      Bytes& slot = floor[d.id];
+      slot = std::max(slot, std::min(need, d.size));
+    }
+  }
+  Bytes remaining = snapshot.resources.total_cache;
+  for (const auto& [dataset_id, need] : floor) {
+    (*dataset_cache)[dataset_id] = need;
+    remaining -= need;
+  }
+  if (remaining < 0) {
+    return false;
+  }
+  std::vector<std::pair<DatasetId, double>> order(saving_rate.begin(), saving_rate.end());
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) {
+      return a.second > b.second;
+    }
+    return a.first < b.first;
+  });
+  for (const auto& [dataset_id, rate] : order) {
+    if (remaining <= 0) {
+      break;
+    }
+    Bytes& slot = (*dataset_cache)[dataset_id];
+    const Bytes grant = std::min(snapshot.catalog->Get(dataset_id).size - slot, remaining);
+    slot += grant;
+    remaining -= grant;
+  }
+  BytesPerSec total_io = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Dataset& d = snapshot.catalog->Get(jobs[i].view->spec->dataset);
+    auto it = dataset_cache->find(d.id);
+    const Bytes cache = it == dataset_cache->end() ? 0 : it->second;
+    (*required_io)[i] = RequiredRemoteIo(targets[i], cache, d.size);
+    if ((*required_io)[i] > cap * (1.0 + 1e-12)) {
+      return false;
+    }
+    total_io += (*required_io)[i];
+  }
+  return total_io <= snapshot.resources.remote_io * (1.0 + 1e-12);
+}
+
+GavelSolution RefSolveMaxMinFairness(const Snapshot& snapshot, const AllocationPlan& plan) {
+  GavelSolution solution;
+  std::vector<RefJob> jobs;
+  for (const JobView& view : snapshot.jobs) {
+    if (plan.IsRunning(view.spec->id)) {
+      RefJob j;
+      j.view = &view;
+      j.speed = plan.Get(view.spec->id).speed;
+      j.ideal = EffectiveIdeal(view.spec->ideal_io, j.speed);
+      jobs.push_back(j);
+    }
+  }
+  if (jobs.empty()) {
+    return solution;
+  }
+  const EqualShareParams eq =
+      MakeEqualShareParams(snapshot.resources, static_cast<int>(jobs.size()));
+  for (RefJob& j : jobs) {
+    j.base = EqualShareThroughput(*j.view->spec, j.speed, *snapshot.catalog, eq);
+    if (j.base <= 0) {
+      j.base = EffectiveIdeal(j.view->spec->ideal_io, j.speed) * 1e-9;
+    }
+  }
+  auto targets_at = [&](double rho) {
+    std::vector<BytesPerSec> t(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      t[i] = std::min(rho * jobs[i].base, jobs[i].ideal);
+    }
+    return t;
+  };
+  std::map<DatasetId, Bytes> cache;
+  std::vector<BytesPerSec> required;
+  double hi = 1.0;
+  for (const RefJob& j : jobs) {
+    hi = std::max(hi, j.ideal / j.base);
+  }
+  double lo = 0.0;
+  if (RefTargetsFeasible(snapshot, jobs, targets_at(hi), &cache, &required)) {
+    lo = hi;
+  } else {
+    for (int iter = 0; iter < 100; ++iter) {
+      const double mid = 0.5 * (lo + hi);
+      if (RefTargetsFeasible(snapshot, jobs, targets_at(mid), &cache, &required)) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+  }
+  const double rho = lo;
+  EXPECT_TRUE(RefTargetsFeasible(snapshot, jobs, targets_at(rho), &cache, &required));
+  BytesPerSec used = 0;
+  for (BytesPerSec b : required) {
+    used += b;
+  }
+  const BytesPerSec leftover = std::max(0.0, snapshot.resources.remote_io - used);
+  std::vector<BytesPerSec> extra_demand(jobs.size(), 0);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Dataset& d = snapshot.catalog->Get(jobs[i].view->spec->dataset);
+    auto it = cache.find(d.id);
+    const Bytes c = it == cache.end() ? 0 : it->second;
+    const BytesPerSec max_b =
+        std::min(RemoteIoDemand(jobs[i].ideal, c, d.size), snapshot.resources.per_job_remote_cap);
+    extra_demand[i] = std::max(0.0, max_b - required[i]);
+  }
+  const std::vector<BytesPerSec> extra = MaxMinShare(extra_demand, leftover);
+  solution.fairness_ratio = rho;
+  solution.dataset_cache = std::move(cache);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobId id = jobs[i].view->spec->id;
+    solution.remote_io[id] = required[i] + extra[i];
+    const Dataset& d = snapshot.catalog->Get(jobs[i].view->spec->dataset);
+    auto it = solution.dataset_cache.find(d.id);
+    const Bytes c = it == solution.dataset_cache.end() ? 0 : it->second;
+    solution.target[id] = SiloDPerfThroughput(jobs[i].ideal, solution.remote_io[id], c, d.size);
+  }
+  return solution;
+}
+
+TEST(GavelSolver, MatchesReferenceOracle) {
+  Rng rng(20230508);
+  const double kSpeeds[] = {0.4, 1.0, 2.0};
+  int bisected = 0;
+  int all_at_ideal = 0;
+  int floors_over_pool = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Shape: trial 0 has no running job, trial 1 one job, the rest 2-40 jobs
+    // over fewer datasets than jobs (so datasets are shared).
+    const std::uint64_t num_jobs = trial == 0 ? 3 : trial == 1 ? 1 : 2 + rng.NextBelow(39);
+    const std::uint64_t num_datasets =
+        1 + rng.NextBelow(std::max<std::uint64_t>(1, num_jobs * 2 / 3));
+    DatasetCatalog catalog;
+    for (std::uint64_t d = 0; d < num_datasets; ++d) {
+      catalog.Add("ds" + std::to_string(d), GB(rng.Uniform(20, 3000)), MB(64));
+    }
+    std::deque<JobSpec> specs;
+    Snapshot snapshot;
+    snapshot.catalog = &catalog;
+    snapshot.resources.total_gpus = static_cast<int>(4 * num_jobs);
+    snapshot.resources.total_cache = GB(rng.Uniform(1, 5000));
+    snapshot.resources.remote_io = MBps(rng.Uniform(20, 1000));
+    if (trial % 4 == 3) {
+      snapshot.resources.remote_io = MBps(1e9);  // Every job reaches f*.
+    } else if (rng.NextDouble() < 0.6) {
+      // A finite per-job cap makes cache floors bind; small pools put the
+      // floors' sum above total_cache.
+      snapshot.resources.per_job_remote_cap = MBps(rng.Uniform(5, 150));
+    }
+    AllocationPlan plan;
+    for (std::uint64_t j = 0; j < num_jobs; ++j) {
+      JobSpec spec;
+      spec.id = static_cast<JobId>(j);
+      spec.num_gpus = 1;
+      spec.dataset = static_cast<DatasetId>(rng.NextBelow(num_datasets));
+      spec.ideal_io = MBps(rng.Uniform(10, 500));
+      spec.total_bytes = TB(10);
+      specs.push_back(spec);
+      if (trial != 0 && rng.NextDouble() < 0.9) {
+        JobAllocation& alloc = plan.jobs[spec.id];
+        alloc.running = true;
+        alloc.gpus = 1;
+        alloc.speed = kSpeeds[rng.NextBelow(3)];
+      }
+    }
+    if (trial == 1) {
+      plan.jobs[0].running = true;
+      plan.jobs[0].gpus = 1;
+    }
+    for (const JobSpec& spec : specs) {
+      JobView view;
+      view.spec = &spec;
+      view.remaining_bytes = spec.total_bytes;
+      snapshot.jobs.push_back(view);
+    }
+
+    const GavelSolution want = RefSolveMaxMinFairness(snapshot, plan);
+    const GavelSolution got = SolveMaxMinFairness(snapshot, plan);
+    EXPECT_EQ(got.fairness_ratio, want.fairness_ratio);
+    EXPECT_EQ(got.dataset_cache, want.dataset_cache);
+    EXPECT_EQ(got.remote_io, want.remote_io);
+    EXPECT_EQ(got.target, want.target);
+
+    // Coverage of the regimes the oracle distinguishes.
+    const int num_running = static_cast<int>(want.target.size());
+    const EqualShareParams eq = MakeEqualShareParams(snapshot.resources, std::max(1, num_running));
+    double hi = 1.0;
+    Bytes floor_sum = 0;
+    std::map<DatasetId, Bytes> floors;
+    for (const JobView& view : snapshot.jobs) {
+      if (!plan.IsRunning(view.spec->id)) {
+        continue;
+      }
+      const double speed = plan.Get(view.spec->id).speed;
+      const BytesPerSec ideal = EffectiveIdeal(view.spec->ideal_io, speed);
+      hi = std::max(hi, ideal / EqualShareThroughput(*view.spec, speed, catalog, eq));
+      const BytesPerSec cap = snapshot.resources.per_job_remote_cap;
+      if (std::isfinite(cap) && ideal > cap) {
+        const Bytes size = catalog.Get(view.spec->dataset).size;
+        const Bytes need =
+            static_cast<Bytes>((1.0 - cap / ideal) * static_cast<double>(size)) + 1;
+        floors[view.spec->dataset] = std::max(floors[view.spec->dataset], std::min(need, size));
+      }
+    }
+    for (const auto& [id, need] : floors) {
+      floor_sum += need;
+    }
+    if (num_running > 0) {
+      ++(want.fairness_ratio == hi ? all_at_ideal : bisected);
+    }
+    if (floor_sum > snapshot.resources.total_cache) {
+      ++floors_over_pool;
+    }
+  }
+  EXPECT_GT(bisected, 150);
+  EXPECT_GT(all_at_ideal, 100);
+  EXPECT_GT(floors_over_pool, 50);
 }
 
 // -------------------------------------------------- Baseline storage plans --
