@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/common/bisect.h"
 #include "src/common/logging.h"
 
 namespace silod {
@@ -59,7 +60,6 @@ SharedLruResult SharedLruModel(const std::vector<BytesPerSec>& access_rates,
   } else {
     // Solve sum_i min(f_i * T, d_i) = C for T by bisection.  The left side is
     // continuous and nondecreasing in T, 0 at T=0 and total_data at T=inf.
-    double lo = 0;
     double hi = 1.0;
     auto occupancy = [&](double tt) {
       double s = 0;
@@ -74,17 +74,9 @@ SharedLruResult SharedLruModel(const std::vector<BytesPerSec>& access_rates,
         break;
       }
     }
-    for (int iter = 0; iter < 200; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      double& side = occupancy(mid) < cap ? lo : hi;
-      if (side == mid) {
-        // A step that changes nothing repeats forever, so (lo, hi) is already
-        // what the remaining iterations would leave (after ~55 of the 200).
-        break;
-      }
-      side = mid;
-    }
-    t = 0.5 * (lo + hi);
+    // The bracket stops moving after ~55 of the 200 steps.
+    const Bracket b = Bisect(0.0, hi, 200, [&](double mid) { return occupancy(mid) < cap; });
+    t = 0.5 * (b.lo + b.hi);
   }
 
   for (std::size_t i = 0; i < n; ++i) {

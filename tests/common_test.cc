@@ -1,11 +1,12 @@
 // Unit tests for src/common: units, RNG, status, stats, bitset, table,
-// backoff.
+// backoff, bisection.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
 #include "src/common/backoff.h"
+#include "src/common/bisect.h"
 #include "src/common/bitset.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -397,6 +398,50 @@ TEST(Table, FmtFormats) {
   EXPECT_EQ(Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Fmt(42.0, 0), "42");
   EXPECT_EQ(FmtSci(0.000095, 1), "9.5e-05");
+}
+
+// ------------------------------------------------------------------ Bisect --
+
+// The bracket every one of `steps` halvings leaves, with no early stop.
+template <typename Below>
+Bracket FullBisect(double lo, double hi, int steps, Below below) {
+  for (int step = 0; step < steps; ++step) {
+    const double mid = 0.5 * (lo + hi);
+    (below(mid) ? lo : hi) = mid;
+  }
+  return {lo, hi};
+}
+
+TEST(Bisect, BracketStopMatchesFullStepBisection) {
+  Rng rng(11);
+  for (int trial = 0; trial < 500; ++trial) {
+    const double hi = std::exp(rng.Uniform(-30, 30));
+    // Thresholds inside the bracket, at and beyond its ends.
+    const double threshold = trial % 50 == 0 ? 0.0 : trial % 50 == 1 ? 2 * hi : rng.Uniform(0, hi);
+    // A monotone predicate and one whose answer flips with low-order bits of
+    // the midpoint, so it is not monotone anywhere near the bracket's scale.
+    auto monotone = [&](double x) { return x < threshold; };
+    auto jagged = [&](double x) { return std::fmod(x / hi * 1e9, 2.0) < 1.0; };
+    for (int steps : {1, 40, 80, 200}) {
+      int calls = 0;
+      const Bracket got = Bisect(0.0, hi, steps, [&](double x) {
+        ++calls;
+        return monotone(x);
+      });
+      const Bracket want = FullBisect(0.0, hi, steps, monotone);
+      EXPECT_EQ(got.lo, want.lo) << trial << " " << steps;
+      EXPECT_EQ(got.hi, want.hi) << trial << " " << steps;
+      if (steps == 200 && threshold > 0) {
+        // (At threshold 0, hi halves toward 0 through the subnormals, and
+        // every one of the 200 steps moves it.)
+        EXPECT_LT(calls, 80) << "the stop never fired";
+      }
+      const Bracket got_jagged = Bisect(0.0, hi, steps, jagged);
+      const Bracket want_jagged = FullBisect(0.0, hi, steps, jagged);
+      EXPECT_EQ(got_jagged.lo, want_jagged.lo) << trial << " " << steps;
+      EXPECT_EQ(got_jagged.hi, want_jagged.hi) << trial << " " << steps;
+    }
+  }
 }
 
 // --------------------------------------------------------------- Topology --
