@@ -27,7 +27,7 @@
 #include "src/sched/policy.h"
 #include "src/sim/cluster.h"
 #include "src/sim/engine_core.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/job_calendar.h"
 #include "src/sim/metrics.h"
 #include "src/workload/curriculum.h"
 #include "src/workload/trace_gen.h"
