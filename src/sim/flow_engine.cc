@@ -104,6 +104,7 @@ void FlowEngine::Reschedule(Seconds now) {
       continue;
     }
     const JobAllocation& alloc = plan_.Get(s.spec->id);
+    s.throttle = plan_.manages_remote_io ? alloc.remote_io : kUnlimitedRate;
     if (!alloc.running && s.running) {
       // Preemption (SRTF plans): suspend in place — progress, epoch position
       // and cache effectiveness survive; the resume penalty is charged below.
@@ -381,7 +382,7 @@ void FlowEngine::ComputeRates(Seconds now) {
 
   // Quota-based models (SiloD, Quiver) and CoorDL's private static caches.
   std::vector<BytesPerSec> demand(n);
-  std::vector<BytesPerSec> caps(n, config_.resources.per_job_remote_cap);
+  std::vector<BytesPerSec> caps(n);
   for (std::size_t i = 0; i < n; ++i) {
     const JobState& s = *running[i];
     const Dataset& d = trace_->catalog.Get(s.spec->dataset);
@@ -389,9 +390,7 @@ void FlowEngine::ComputeRates(Seconds now) {
         std::min(1.0, std::max(0.0, s.effective / static_cast<double>(d.size)));
     miss[i] = 1.0 - hit;
     demand[i] = EffectiveIdeal(s.spec->ideal_io, s.speed) * miss[i];
-    if (plan_.manages_remote_io) {
-      caps[i] = std::min(caps[i], plan_.Get(s.spec->id).remote_io);
-    }
+    caps[i] = std::min(config_.resources.per_job_remote_cap, s.throttle);
   }
   const std::vector<BytesPerSec> granted =
       MaxMinShare(demand, caps, config_.resources.remote_io);

@@ -54,6 +54,9 @@ class FlowEngine : private FaultPhysics {
     // computes at spec->ideal_io * speed while holding this type's GPUs.
     int gpu_type = -1;
     double speed = 1.0;
+    // The plan's remote-IO throttle when it manages remote IO, else
+    // unlimited; refreshed by every Reschedule.
+    BytesPerSec throttle = kUnlimitedRate;
   };
   struct DatasetState {
     Bytes quota = 0;
