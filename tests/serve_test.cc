@@ -1018,6 +1018,62 @@ TEST(ServiceCheckpoint, RestoredPlanMatchesTheWritersPlan) {
   }
 }
 
+// Replaces the `key=...` token of the first `kind` line of a checkpoint with
+// `token` (an empty token drops it).
+std::string Retoken(const std::string& text, const std::string& kind, const std::string& key,
+                    const std::string& token) {
+  const std::size_t line = text.find("\n" + kind + " ");
+  EXPECT_NE(std::string::npos, line) << kind;
+  const std::size_t start = text.find(" " + key + "=", line);
+  EXPECT_LT(start, text.find('\n', line + 1)) << kind << "." << key;
+  const std::size_t end = text.find_first_of(" \n", start + 1);
+  return text.substr(0, start) + (token.empty() ? "" : " " + token) + text.substr(end);
+}
+
+// Every corruption of a real checkpoint is a journal fault (kInternal), never
+// a silent partial restore or a caller error.
+TEST(ServiceCheckpoint, MalformedLinesAreInternal) {
+  const ServiceConfig config = SmallCluster("sjf+silod");
+  Result<std::unique_ptr<ServiceState>> writer = ServiceState::Create(config);
+  ASSERT_TRUE(writer.ok());
+  for (const ServeRequest& request :
+       {SubmitReq("a", 0, 2, GB(400)), SubmitReq("b", 10, 4, GB(800))}) {
+    ASSERT_TRUE((*writer)->Handle(request).ok()) << request.verb;
+  }
+  const std::string text = (*writer)->CheckpointText();
+  {
+    Result<std::unique_ptr<ServiceState>> fresh = ServiceState::Create(config);
+    ASSERT_TRUE(fresh.ok());
+    RecoveryInfo recovery;
+    ASSERT_TRUE((*fresh)->RestoreFromCheckpoint(text, &recovery).ok());
+  }
+  struct Case {
+    const char* what;
+    std::string text;
+  };
+  std::string unknown_kind = text;
+  unknown_kind.replace(unknown_kind.rfind("\nend\n"), 5, "\nbogus x=1\nend\n");
+  const Case cases[] = {
+      {"missing key", Retoken(text, "clock", "last-rid", "")},
+      {"non-number", Retoken(text, "job", "ideal-io", "ideal-io=fast")},
+      {"trailing junk", Retoken(text, "job", "gpus", "gpus=2x")},
+      {"negative u64", Retoken(text, "clock", "requests", "requests=-1")},
+      {"truncated escape", Retoken(text, "job", "key", "key=a%4")},
+      {"bare token", Retoken(text, "admission", "queued", "queued")},
+      {"unknown line kind", unknown_kind},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    ASSERT_NE(text, c.text);
+    Result<std::unique_ptr<ServiceState>> fresh = ServiceState::Create(config);
+    ASSERT_TRUE(fresh.ok());
+    RecoveryInfo recovery;
+    const Status st = (*fresh)->RestoreFromCheckpoint(c.text, &recovery);
+    EXPECT_EQ(StatusCode::kInternal, st.code()) << st.ToString();
+    EXPECT_EQ(0u, st.message().rfind("journal checkpoint: ", 0)) << st.message();
+  }
+}
+
 TEST_F(ServiceJournalTest, CheckpointWithoutJournalIsFailedPrecondition) {
   Result<std::unique_ptr<ServiceState>> service = ServiceState::Create(SmallCluster("fifo+silod"));
   ASSERT_TRUE(service.ok());
