@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -65,90 +64,14 @@ void MixString(std::uint64_t* h, const std::string& s) {
 
 // --- Checkpoint text parsing (silodd-checkpoint-v1) -----------------------
 
-using CkptArgs = std::map<std::string, std::string>;
-
-// Splits "kind key=value ..." with the same percent-escaping as the wire
-// protocol, so keys/names with spaces survive the line format.
-Status ParseCheckpointLine(const std::string& line, std::string* kind, CkptArgs* args) {
-  std::vector<std::string> tokens;
-  std::string token;
-  for (const char c : line) {
-    if (c == ' ') {
-      if (!token.empty()) {
-        tokens.push_back(token);
-        token.clear();
-      }
-    } else {
-      token += c;
-    }
-  }
-  if (!token.empty()) {
-    tokens.push_back(token);
-  }
-  if (tokens.empty()) {
-    return Status::Internal("journal checkpoint: empty line");
-  }
-  *kind = tokens[0];
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::Internal("journal checkpoint: malformed token '" + tokens[i] + "'");
-    }
-    Result<std::string> value = UnescapeToken(tokens[i].substr(eq + 1));
-    if (!value.ok()) {
-      return Status::Internal("journal checkpoint: " + value.status().message());
-    }
-    (*args)[tokens[i].substr(0, eq)] = *std::move(value);
-  }
-  return Status::Ok();
-}
-
-Result<std::string> CkptString(const CkptArgs& args, const std::string& kind,
-                               const std::string& key) {
-  const auto it = args.find(key);
-  if (it == args.end()) {
-    return Status::Internal("journal checkpoint: '" + kind + "' line is missing '" + key + "'");
-  }
-  return it->second;
-}
-
-Result<double> CkptDouble(const CkptArgs& args, const std::string& kind, const std::string& key) {
-  Result<std::string> raw = CkptString(args, kind, key);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (raw->empty() || end == nullptr || *end != '\0') {
-    return Status::Internal("journal checkpoint: '" + kind + "." + key + "' is not a number: " +
-                            *raw);
-  }
-  return value;
-}
-
-Result<std::int64_t> CkptInt(const CkptArgs& args, const std::string& kind,
-                             const std::string& key) {
-  Result<std::string> raw = CkptString(args, kind, key);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(raw->c_str(), &end, 10);
-  if (raw->empty() || end == nullptr || *end != '\0') {
-    return Status::Internal("journal checkpoint: '" + kind + "." + key + "' is not an integer: " +
-                            *raw);
-  }
-  return static_cast<std::int64_t>(value);
-}
-
-Result<std::uint64_t> CkptU64(const CkptArgs& args, const std::string& kind,
-                              const std::string& key) {
-  Result<std::int64_t> value = CkptInt(args, kind, key);
+// ServeRequest::GetInt for counters and request ids, which are never negative.
+Result<std::uint64_t> GetU64(const ServeRequest& line, const std::string& key) {
+  Result<std::int64_t> value = line.GetInt(key);
   if (!value.ok()) {
     return value.status();
   }
   if (*value < 0) {
-    return Status::Internal("journal checkpoint: '" + kind + "." + key + "' is negative");
+    return Status::InvalidArgument(line.verb + ": argument '" + key + "' is negative");
   }
   return static_cast<std::uint64_t>(*value);
 }
@@ -875,6 +798,17 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
   if (table_.size() != 0 || now_ != 0 || last_rid_ != 0) {
     return Status::FailedPrecondition("checkpoint restore requires a fresh service");
   }
+  // A checkpoint that does not restore is a damaged journal, whatever the
+  // line codec or the tables said about it.
+  if (const Status st = ApplyCheckpoint(text, recovery); !st.ok()) {
+    return Status::Internal("journal checkpoint: " + st.message());
+  }
+  return Status::Ok();
+}
+
+// Each line is "kind key=value ...", the wire protocol's request codec with
+// the kind as the verb.
+Status ServiceState::ApplyCheckpoint(const std::string& text, RecoveryInfo* recovery) {
   std::vector<std::string> lines;
   std::string line;
   for (const char c : text) {
@@ -889,54 +823,55 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
     lines.push_back(line);
   }
   if (lines.empty() || lines[0] != "silodd-checkpoint-v1") {
-    return Status::Internal("journal checkpoint: bad header (want silodd-checkpoint-v1)");
+    return Status::InvalidArgument("bad header (want silodd-checkpoint-v1)");
   }
 
-  CkptArgs cluster_args, policy_args, clock_args, admission_args, planner_args;
-  std::vector<CkptArgs> dataset_lines, job_lines;
+  ServeRequest cluster{"cluster", {}}, policy{"policy", {}}, clock{"clock", {}},
+      admission{"admission", {}}, planner{"planner", {}};
+  std::vector<ServeRequest> dataset_lines, job_lines;
   bool saw_end = false;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     if (lines[i].empty()) {
       continue;
     }
-    std::string kind;
-    CkptArgs args;
-    if (const Status st = ParseCheckpointLine(lines[i], &kind, &args); !st.ok()) {
-      return st;
+    Result<ServeRequest> decoded = ServeRequest::Decode(lines[i]);
+    if (!decoded.ok()) {
+      return decoded.status();
     }
-    if (kind == "cluster") {
-      cluster_args = std::move(args);
-    } else if (kind == "policy") {
-      policy_args = std::move(args);
-    } else if (kind == "clock") {
-      clock_args = std::move(args);
-    } else if (kind == "admission") {
-      admission_args = std::move(args);
-    } else if (kind == "planner") {
-      planner_args = std::move(args);
-    } else if (kind == "dataset") {
-      dataset_lines.push_back(std::move(args));
-    } else if (kind == "job") {
-      job_lines.push_back(std::move(args));
-    } else if (kind == "end") {
+    ServeRequest& line = *decoded;
+    if (line.verb == "cluster") {
+      cluster = std::move(line);
+    } else if (line.verb == "policy") {
+      policy = std::move(line);
+    } else if (line.verb == "clock") {
+      clock = std::move(line);
+    } else if (line.verb == "admission") {
+      admission = std::move(line);
+    } else if (line.verb == "planner") {
+      planner = std::move(line);
+    } else if (line.verb == "dataset") {
+      dataset_lines.push_back(std::move(line));
+    } else if (line.verb == "job") {
+      job_lines.push_back(std::move(line));
+    } else if (line.verb == "end") {
       saw_end = true;
       break;
     } else {
-      return Status::Internal("journal checkpoint: unknown line kind '" + kind + "'");
+      return Status::InvalidArgument("unknown line kind '" + line.verb + "'");
     }
   }
   if (!saw_end) {
-    return Status::Internal("journal checkpoint: truncated (no 'end' line)");
+    return Status::InvalidArgument("truncated (no 'end' line)");
   }
 
   // Cluster shape mismatches are warnings, not errors: the operator may have
   // legitimately resized the cluster between restarts, and the replayed
   // requests re-derive all scheduling decisions against the new flags.
-  if (!cluster_args.empty() && recovery != nullptr) {
-    Result<std::int64_t> gpus = CkptInt(cluster_args, "cluster", "gpus");
-    Result<std::int64_t> cache = CkptInt(cluster_args, "cluster", "cache");
-    Result<double> egress = CkptDouble(cluster_args, "cluster", "egress");
-    Result<std::int64_t> servers = CkptInt(cluster_args, "cluster", "servers");
+  if (!cluster.args.empty() && recovery != nullptr) {
+    Result<std::int64_t> gpus = cluster.GetInt("gpus");
+    Result<std::int64_t> cache = cluster.GetInt("cache");
+    Result<double> egress = cluster.GetDouble("egress");
+    Result<std::int64_t> servers = cluster.GetInt("servers");
     if (gpus.ok() && *gpus != config_.resources.total_gpus) {
       recovery->warnings.push_back("checkpoint cluster had " + std::to_string(*gpus) +
                                    " GPUs, flags say " +
@@ -962,8 +897,8 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
   // Policy first: a reload counts a planner event, and the planner line
   // restored below overwrites the count with the checkpointed one.
   {
-    Result<std::string> name = CkptString(policy_args, "policy", "name");
-    Result<std::int64_t> manage = CkptInt(policy_args, "policy", "manage-remote-io");
+    Result<std::string> name = policy.GetString("name");
+    Result<std::int64_t> manage = policy.GetInt("manage-remote-io");
     if (!name.ok()) {
       return name.status();
     }
@@ -975,8 +910,8 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
     if (*name != planner_->policy_name() ||
         options.manage_remote_io != config_.scheduler.manage_remote_io) {
       if (const Status st = planner_->ReloadPolicy(*name, options); !st.ok()) {
-        return Status::Internal("journal checkpoint: cannot restore policy '" + *name +
-                                "': " + st.message());
+        return Status::InvalidArgument("cannot restore policy '" + *name + "': " +
+                                       st.message());
       }
       config_.policy = *name;
       config_.scheduler = options;
@@ -984,11 +919,11 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
   }
 
   {
-    Result<double> now = CkptDouble(clock_args, "clock", "now");
-    Result<std::uint64_t> last_rid = CkptU64(clock_args, "clock", "last-rid");
-    Result<std::uint64_t> requests = CkptU64(clock_args, "clock", "requests");
-    Result<std::uint64_t> errors = CkptU64(clock_args, "clock", "errors");
-    Result<std::uint64_t> duplicates = CkptU64(clock_args, "clock", "duplicates");
+    Result<double> now = clock.GetDouble("now");
+    Result<std::uint64_t> last_rid = GetU64(clock, "last-rid");
+    Result<std::uint64_t> requests = GetU64(clock, "requests");
+    Result<std::uint64_t> errors = GetU64(clock, "errors");
+    Result<std::uint64_t> duplicates = GetU64(clock, "duplicates");
     for (const Status* st :
          {!now.ok() ? &now.status() : nullptr, !last_rid.ok() ? &last_rid.status() : nullptr,
           !requests.ok() ? &requests.status() : nullptr,
@@ -1006,52 +941,52 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
   }
 
   {
-    Result<std::uint64_t> admitted = CkptU64(admission_args, "admission", "admitted");
-    Result<std::uint64_t> queued = CkptU64(admission_args, "admission", "queued");
-    Result<std::uint64_t> rejected = CkptU64(admission_args, "admission", "rejected");
+    Result<std::uint64_t> admitted = GetU64(admission, "admitted");
+    Result<std::uint64_t> queued = GetU64(admission, "queued");
+    Result<std::uint64_t> rejected = GetU64(admission, "rejected");
     if (!admitted.ok() || !queued.ok() || !rejected.ok()) {
       return !admitted.ok() ? admitted.status() : (!queued.ok() ? queued.status() : rejected.status());
     }
     admission_->RestoreCounters(*admitted, *queued, *rejected);
   }
 
-  for (const CkptArgs& args : dataset_lines) {
-    Result<std::int64_t> id = CkptInt(args, "dataset", "id");
-    Result<std::string> name = CkptString(args, "dataset", "name");
-    Result<std::int64_t> size = CkptInt(args, "dataset", "size");
-    Result<std::int64_t> block = CkptInt(args, "dataset", "block");
+  for (const ServeRequest& line : dataset_lines) {
+    Result<std::int64_t> id = line.GetInt("id");
+    Result<std::string> name = line.GetString("name");
+    Result<std::int64_t> size = line.GetInt("size");
+    Result<std::int64_t> block = line.GetInt("block");
     if (!id.ok() || !name.ok() || !size.ok() || !block.ok()) {
       return !id.ok() ? id.status()
                       : (!name.ok() ? name.status() : (!size.ok() ? size.status() : block.status()));
     }
     Result<DatasetId> interned = table_.InternDataset(*name, *size, *block);
     if (!interned.ok()) {
-      return Status::Internal("journal checkpoint: " + interned.status().message());
+      return interned.status();
     }
     if (*interned != static_cast<DatasetId>(*id)) {
-      return Status::Internal("journal checkpoint: dataset '" + *name + "' restored as id " +
-                              std::to_string(*interned) + ", checkpoint says " +
-                              std::to_string(*id));
+      return Status::InvalidArgument("dataset '" + *name + "' restored as id " +
+                                     std::to_string(*interned) + ", checkpoint says " +
+                                     std::to_string(*id));
     }
   }
 
-  for (const CkptArgs& args : job_lines) {
-    Result<std::int64_t> id = CkptInt(args, "job", "id");
-    Result<std::string> key = CkptString(args, "job", "key");
-    Result<std::string> state_name = CkptString(args, "job", "state");
-    Result<std::int64_t> gpus = CkptInt(args, "job", "gpus");
-    Result<std::int64_t> dataset = CkptInt(args, "job", "dataset");
-    Result<double> ideal_io = CkptDouble(args, "job", "ideal-io");
-    Result<std::int64_t> total_bytes = CkptInt(args, "job", "total-bytes");
-    Result<std::int64_t> step_bytes = CkptInt(args, "job", "step-bytes");
-    Result<std::string> model = CkptString(args, "job", "model");
-    Result<double> submit_t = CkptDouble(args, "job", "submit-t");
-    Result<double> admit_t = CkptDouble(args, "job", "admit-t");
-    Result<double> start_t = CkptDouble(args, "job", "start-t");
-    Result<double> finish_t = CkptDouble(args, "job", "finish-t");
-    Result<std::int64_t> remaining = CkptInt(args, "job", "remaining");
-    Result<std::int64_t> effective = CkptInt(args, "job", "effective");
-    Result<std::int64_t> running = CkptInt(args, "job", "running");
+  for (const ServeRequest& line : job_lines) {
+    Result<std::int64_t> id = line.GetInt("id");
+    Result<std::string> key = line.GetString("key");
+    Result<std::string> state_name = line.GetString("state");
+    Result<std::int64_t> gpus = line.GetInt("gpus");
+    Result<std::int64_t> dataset = line.GetInt("dataset");
+    Result<double> ideal_io = line.GetDouble("ideal-io");
+    Result<std::int64_t> total_bytes = line.GetInt("total-bytes");
+    Result<std::int64_t> step_bytes = line.GetInt("step-bytes");
+    Result<std::string> model = line.GetString("model");
+    Result<double> submit_t = line.GetDouble("submit-t");
+    Result<double> admit_t = line.GetDouble("admit-t");
+    Result<double> start_t = line.GetDouble("start-t");
+    Result<double> finish_t = line.GetDouble("finish-t");
+    Result<std::int64_t> remaining = line.GetInt("remaining");
+    Result<std::int64_t> effective = line.GetInt("effective");
+    Result<std::int64_t> running = line.GetInt("running");
     for (const Status* st :
          {!id.ok() ? &id.status() : nullptr, !key.ok() ? &key.status() : nullptr,
           !state_name.ok() ? &state_name.status() : nullptr,
@@ -1072,7 +1007,7 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
     }
     Result<ServeJobState> state = ServeJobStateFromName(*state_name);
     if (!state.ok()) {
-      return Status::Internal("journal checkpoint: " + state.status().message());
+      return state.status();
     }
     JobSpec spec;
     spec.name = *key;
@@ -1083,11 +1018,11 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
     spec.total_bytes = *total_bytes;
     spec.step_data_size = *step_bytes;
     // Optional heterogeneity tokens (absent in checkpoints from untyped runs).
-    if (args.count("tenant") != 0) {
-      spec.tenant = args.at("tenant");
+    if (line.Has("tenant")) {
+      spec.tenant = line.args.at("tenant");
     }
-    if (args.count("speeds") != 0) {
-      const std::string& speeds = args.at("speeds");
+    if (line.Has("speeds")) {
+      const std::string& speeds = line.args.at("speeds");
       std::size_t pos = 0;
       while (pos < speeds.size()) {
         std::size_t comma = speeds.find(',', pos);
@@ -1098,24 +1033,24 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
         pos = comma + 1;
         const std::size_t eq = pair.find('=');
         if (eq == std::string::npos || eq == 0) {
-          return Status::Internal("journal checkpoint: malformed job.speeds entry '" + pair + "'");
+          return Status::InvalidArgument("malformed job.speeds entry '" + pair + "'");
         }
         char* end = nullptr;
         const double factor = std::strtod(pair.c_str() + eq + 1, &end);
         if (end == pair.c_str() + eq + 1 || *end != '\0' || !(factor > 0)) {
-          return Status::Internal("journal checkpoint: bad job.speeds factor in '" + pair + "'");
+          return Status::InvalidArgument("bad job.speeds factor in '" + pair + "'");
         }
         spec.speed_factors.emplace_back(pair.substr(0, eq), factor);
       }
     }
     Result<ServeJob*> job = table_.Add(*key, std::move(spec), *submit_t);
     if (!job.ok()) {
-      return Status::Internal("journal checkpoint: " + job.status().message());
+      return job.status();
     }
     if ((*job)->spec.id != static_cast<JobId>(*id)) {
-      return Status::Internal("journal checkpoint: job '" + *key + "' restored as id " +
-                              std::to_string((*job)->spec.id) + ", checkpoint says " +
-                              std::to_string(*id));
+      return Status::InvalidArgument("job '" + *key + "' restored as id " +
+                                     std::to_string((*job)->spec.id) + ", checkpoint says " +
+                                     std::to_string(*id));
     }
     (*job)->state = *state;
     (*job)->admit_time = *admit_t;
@@ -1124,8 +1059,8 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
     (*job)->remaining_bytes = *remaining;
     (*job)->effective_cache = *effective;
     (*job)->running = *running != 0;
-    if (args.count("gpu-type") != 0) {
-      Result<std::int64_t> gpu_type = CkptInt(args, "job", "gpu-type");
+    if (line.Has("gpu-type")) {
+      Result<std::int64_t> gpu_type = line.GetInt("gpu-type");
       if (!gpu_type.ok()) {
         return gpu_type.status();
       }
@@ -1151,8 +1086,8 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
   // solve, so events pending with nothing ever admitted mean the initial
   // solve is still owed.
   {
-    Result<double> last_plan_t = CkptDouble(planner_args, "planner", "last-plan-t");
-    Result<std::uint64_t> dirty_events = CkptU64(planner_args, "planner", "dirty-events");
+    Result<double> last_plan_t = planner.GetDouble("last-plan-t");
+    Result<std::uint64_t> dirty_events = GetU64(planner, "dirty-events");
     if (!last_plan_t.ok() || !dirty_events.ok()) {
       return !last_plan_t.ok() ? last_plan_t.status() : dirty_events.status();
     }

@@ -155,6 +155,8 @@ class ServiceState {
   // Admits queued jobs (FIFO) that now pass the load gate.
   void PromoteQueued();
   Status AdvanceClock(const ServeRequest& request);
+  // RestoreFromCheckpoint's body; its errors are wrapped as kInternal.
+  Status ApplyCheckpoint(const std::string& text, RecoveryInfo* recovery);
 
   ServiceConfig config_;
   ClusterTopology covered_topology_;

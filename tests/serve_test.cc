@@ -1060,6 +1060,7 @@ TEST(ServiceCheckpoint, MalformedLinesAreInternal) {
       {"negative u64", Retoken(text, "clock", "requests", "requests=-1")},
       {"truncated escape", Retoken(text, "job", "key", "key=a%4")},
       {"bare token", Retoken(text, "admission", "queued", "queued")},
+      {"duplicate key", Retoken(text, "job", "gpus", "gpus=2 gpus=3")},
       {"unknown line kind", unknown_kind},
   };
   for (const Case& c : cases) {
