@@ -36,7 +36,7 @@ double MeasuredSteady(double cache_frac, BytesPerSec egress) {
   sim.resources.remote_io = egress;
   sim.resources.num_servers = 1;
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = sim;
   config.engine = EngineKind::kFine;
   const SimResult r = RunExperiment(trace, config);

@@ -89,8 +89,7 @@ struct PathStats {
 PathStats TimeRun(const Trace& trace, const SimConfig& sim, bool linear,
                   SimResult* out) {
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kFifo;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = sim;
   config.engine = EngineKind::kFine;
   config.fine.use_linear_scan = linear;

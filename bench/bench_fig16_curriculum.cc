@@ -43,7 +43,7 @@ SimResult RunCurriculum(CacheSystem cache, std::int64_t step, std::uint64_t seed
   sim.reschedule_period = Minutes(10);
 
   ExperimentConfig config;
-  config.cache = cache;
+  config.policy = PolicyName(SchedulerKind::kFifo, cache);
   config.sim = sim;
   config.sim.seed = seed;
   config.engine = EngineKind::kFine;

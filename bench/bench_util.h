@@ -98,8 +98,7 @@ inline SimResult Run(const Trace& trace, SchedulerKind scheduler, CacheSystem ca
                      SimConfig sim, EngineKind engine = EngineKind::kFlow,
                      SchedulerOptions scheduler_options = {}) {
   ExperimentConfig config;
-  config.scheduler = scheduler;
-  config.cache = cache;
+  config.policy = PolicyName(scheduler, cache);
   config.scheduler_options = scheduler_options;
   config.sim = sim;
   config.engine = engine;

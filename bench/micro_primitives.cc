@@ -94,8 +94,7 @@ void BM_FlowEngine400Gpu(benchmark::State& state) {
   options.seed = 6;
   const Trace trace = TraceGenerator(options).Generate();
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kGavel;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "gavel+silod";
   config.sim.resources.total_gpus = 400;
   config.sim.resources.total_cache = TB(30);
   config.sim.resources.remote_io = Gbps(32);
@@ -115,7 +114,7 @@ void BM_FineEngineSingleJob(benchmark::State& state) {
   job.total_bytes = 5 * GB(10);
   trace.jobs.push_back(job);
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.engine = EngineKind::kFine;
   config.sim.resources.total_gpus = 1;
   config.sim.resources.total_cache = GB(5);

@@ -59,8 +59,7 @@ int main() {
                  "fairness (avg)"});
   for (const CacheSystem cache : {CacheSystem::kQuiver, CacheSystem::kSiloD}) {
     ExperimentConfig config;
-    config.scheduler = SchedulerKind::kGavel;
-    config.cache = cache;
+    config.policy = PolicyName(SchedulerKind::kGavel, cache);
     config.sim = MakeFig4Cluster();
     config.engine = EngineKind::kFlow;
     const SimResult result = RunExperiment(trace, config);
@@ -70,7 +69,7 @@ int main() {
       const double speed = ToMBps(static_cast<double>(trace.jobs[j.id].total_bytes) / j.Jct());
       worst_speed = std::min(worst_speed, speed);
     }
-    results.AddRow({config.Name(), Fmt(result.jobs[0].Jct() / 60.0),
+    results.AddRow({config.policy, Fmt(result.jobs[0].Jct() / 60.0),
                     Fmt(result.jobs[1].Jct() / 60.0), Fmt(worst_speed),
                     Fmt(result.AvgFairness(), 2)});
   }

@@ -1,10 +1,7 @@
 #include "src/core/policy_registry.h"
 
-#include <utility>
-
 #include "src/common/logging.h"
 #include "src/sched/fifo.h"
-#include "src/sched/gavel.h"
 #include "src/sched/greedy.h"
 #include "src/sched/sjf.h"
 #include "src/sched/storage_policies.h"
@@ -12,44 +9,81 @@
 namespace silod {
 namespace {
 
-constexpr SchedulerKind kSchedulers[] = {SchedulerKind::kFifo, SchedulerKind::kSjf,
-                                         SchedulerKind::kGavel};
-constexpr CacheSystem kCacheSystems[] = {CacheSystem::kSiloD, CacheSystem::kAlluxio,
-                                         CacheSystem::kAlluxioLfu, CacheSystem::kCoorDl,
-                                         CacheSystem::kQuiver};
+// One name table per enum: the policy-name token and the display name.
+template <typename Kind>
+struct Names {
+  Kind kind;
+  const char* token;
+  const char* display;
+};
 
-const char* SchedulerToken(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kFifo:
-      return "fifo";
-    case SchedulerKind::kSjf:
-      return "sjf";
-    case SchedulerKind::kGavel:
-      return "gavel";
+constexpr Names<SchedulerKind> kSchedulerNames[] = {
+    {SchedulerKind::kFifo, "fifo", "FIFO"},
+    {SchedulerKind::kSjf, "sjf", "SJF"},
+    {SchedulerKind::kGavel, "gavel", "Gavel"},
+};
+
+constexpr Names<CacheSystem> kCacheNames[] = {
+    {CacheSystem::kSiloD, "silod", "SiloD"},
+    {CacheSystem::kAlluxio, "alluxio", "Alluxio"},
+    {CacheSystem::kAlluxioLfu, "alluxio-lfu", "Alluxio-LFU"},
+    {CacheSystem::kCoorDl, "coordl", "CoorDL"},
+    {CacheSystem::kQuiver, "quiver", "Quiver"},
+};
+
+template <typename Kind, std::size_t N>
+const Names<Kind>& Lookup(const Names<Kind> (&table)[N], Kind kind) {
+  for (const Names<Kind>& names : table) {
+    if (names.kind == kind) {
+      return names;
+    }
   }
-  return "unknown";
+  SILOD_CHECK(false) << "enum value missing from its name table";
+  return table[0];
 }
 
-const char* CacheToken(CacheSystem system) {
-  switch (system) {
-    case CacheSystem::kSiloD:
-      return "silod";
-    case CacheSystem::kAlluxio:
-      return "alluxio";
-    case CacheSystem::kAlluxioLfu:
-      return "alluxio-lfu";
-    case CacheSystem::kCoorDl:
-      return "coordl";
-    case CacheSystem::kQuiver:
-      return "quiver";
-  }
-  return "unknown";
+}  // namespace
+
+const char* SchedulerKindName(SchedulerKind kind) {
+  return Lookup(kSchedulerNames, kind).display;
 }
 
-// Algorithm 1's composition, moved verbatim from the old enum factory: the
-// registry's built-in entries and the enum wrapper both resolve here.
-std::shared_ptr<Scheduler> BuildScheduler(SchedulerKind kind, CacheSystem system,
-                                          const SchedulerOptions& options) {
+const char* CacheSystemName(CacheSystem system) { return Lookup(kCacheNames, system).display; }
+
+std::string PolicyName(SchedulerKind kind, CacheSystem system) {
+  return std::string(Lookup(kSchedulerNames, kind).token) + "+" +
+         Lookup(kCacheNames, system).token;
+}
+
+const std::vector<std::string>& PolicyNames() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const Names<SchedulerKind>& scheduler : kSchedulerNames) {
+      for (const Names<CacheSystem>& cache : kCacheNames) {
+        out.push_back(PolicyName(scheduler.kind, cache.kind));
+      }
+    }
+    return out;
+  }();
+  return names;
+}
+
+Result<std::pair<SchedulerKind, CacheSystem>> ParsePolicy(const std::string& name) {
+  std::string known;
+  for (const Names<SchedulerKind>& scheduler : kSchedulerNames) {
+    for (const Names<CacheSystem>& cache : kCacheNames) {
+      const std::string candidate = PolicyName(scheduler.kind, cache.kind);
+      if (candidate == name) {
+        return std::make_pair(scheduler.kind, cache.kind);
+      }
+      known += (known.empty() ? "" : ", ") + candidate;
+    }
+  }
+  return Status::NotFound("unknown policy '" + name + "'; known: " + known);
+}
+
+std::shared_ptr<Scheduler> MakeScheduler(SchedulerKind kind, CacheSystem system,
+                                         const SchedulerOptions& options) {
   std::shared_ptr<StoragePolicy> storage;
   switch (system) {
     case CacheSystem::kSiloD:
@@ -90,79 +124,13 @@ std::shared_ptr<Scheduler> BuildScheduler(SchedulerKind kind, CacheSystem system
   return nullptr;
 }
 
-}  // namespace
-
-PolicyRegistry& PolicyRegistry::Global() {
-  static PolicyRegistry* registry = [] {
-    auto* r = new PolicyRegistry();
-    for (const SchedulerKind kind : kSchedulers) {
-      for (const CacheSystem system : kCacheSystems) {
-        const std::string description = std::string(SchedulerKindName(kind)) +
-                                        " scheduling on the " + CacheSystemName(system) +
-                                        " cache system";
-        const Status st = r->Register(
-            PolicyName(kind, system), description,
-            [kind, system](const SchedulerOptions& options) {
-              return BuildScheduler(kind, system, options);
-            });
-        SILOD_CHECK(st.ok()) << "built-in policy registration collided: " << st.ToString();
-      }
-    }
-    return r;
-  }();
-  return *registry;
-}
-
-Status PolicyRegistry::Register(const std::string& name, const std::string& description,
-                                PolicyFactory factory) {
-  if (name.empty() || factory == nullptr) {
-    return Status::InvalidArgument("policy registration wants a name and a factory");
-  }
-  const auto [it, inserted] =
-      policies_.emplace(name, std::make_pair(description, std::move(factory)));
-  (void)it;
-  if (!inserted) {
-    return Status::AlreadyExists("policy already registered: " + name);
-  }
-  return Status::Ok();
-}
-
-bool PolicyRegistry::Contains(const std::string& name) const { return policies_.count(name) > 0; }
-
-Result<std::shared_ptr<Scheduler>> PolicyRegistry::Make(const std::string& name,
-                                                        const SchedulerOptions& options) const {
-  const auto it = policies_.find(name);
-  if (it == policies_.end()) {
-    return Status::NotFound("unknown policy '" + name + "'; known: " + KnownNames());
-  }
-  return it->second.second(options);
-}
-
-std::vector<PolicyInfo> PolicyRegistry::List() const {
-  std::vector<PolicyInfo> out;
-  out.reserve(policies_.size());
-  for (const auto& [name, entry] : policies_) {
-    out.push_back(PolicyInfo{name, entry.first});
-  }
-  return out;  // std::map iterates sorted by name.
-}
-
-std::string PolicyRegistry::KnownNames() const {
-  std::string out;
-  for (const auto& [name, entry] : policies_) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
-}
-
 Result<std::shared_ptr<Scheduler>> MakeSchedulerByName(const std::string& name,
                                                        const SchedulerOptions& options) {
-  return PolicyRegistry::Global().Make(name, options);
-}
-
-std::string PolicyName(SchedulerKind kind, CacheSystem system) {
-  return std::string(SchedulerToken(kind)) + "+" + CacheToken(system);
+  Result<std::pair<SchedulerKind, CacheSystem>> policy = ParsePolicy(name);
+  if (!policy.ok()) {
+    return policy.status();
+  }
+  return MakeScheduler(policy->first, policy->second, options);
 }
 
 }  // namespace silod

@@ -1,71 +1,72 @@
-// String-keyed registry of (scheduler, cache-system) policy pairs.
+// Algorithm 1: composing scheduling policies with cache systems.
 //
-// Blox-style composition: the CLI, benches and tests name a policy pair
-// uniformly ("sjf+silod", "gavel+coordl", ...) and new pairs register
-// without editing a closed factory.  Every pair previously constructible via
-// MakeScheduler(SchedulerKind, CacheSystem) is pre-registered under
-// "<scheduler>+<cache>" with the lowercase tokens
+// SiloD's framework is "any performance-aware scheduler + the SiloDPerf
+// estimator + storage in totalResource".  Every (scheduler, cache system)
+// pair evaluated in §7 is one policy:
 //
-//   scheduler:  fifo | sjf | gavel
-//   cache:      silod | alluxio | alluxio-lfu | coordl | quiver
+//               SiloD                     Alluxio / CoorDL / Quiver
+//   FIFO   greedy Alg. 2 storage       independent cache, fair-share IO
+//   SJF    Eq. 7 score + Alg. 2        Eq. 6 score (compute-only estimator)
+//   Gavel  Eq. 9 solver                Eq. 8 with compute-only estimator
 //
-// and the enum factory remains as a thin wrapper over the registry for one
-// release (see silod_scheduler.h).
+// Each policy has one name, "<scheduler>+<cache>" (e.g. "sjf+silod",
+// "gavel+alluxio-lfu"), which the CLIs, silodd, ExperimentConfig and the
+// benches all use; ParsePolicy reads it and MakeScheduler builds the pair.
 #ifndef SILOD_SRC_CORE_POLICY_REGISTRY_H_
 #define SILOD_SRC_CORE_POLICY_REGISTRY_H_
 
-#include <functional>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/core/silod_scheduler.h"
+#include "src/sched/gavel.h"
 #include "src/sched/policy.h"
 
 namespace silod {
 
-using PolicyFactory = std::function<std::shared_ptr<Scheduler>(const SchedulerOptions&)>;
+enum class SchedulerKind { kFifo, kSjf, kGavel };
+enum class CacheSystem { kSiloD, kAlluxio, kAlluxioLfu, kCoorDl, kQuiver };
 
-struct PolicyInfo {
-  std::string name;
-  std::string description;
+// Display names for tables ("SJF", "Alluxio-LFU").
+const char* SchedulerKindName(SchedulerKind kind);
+const char* CacheSystemName(CacheSystem system);
+
+struct SchedulerOptions {
+  // §7.2 ablation: SiloD allocates cache but leaves remote IO to the
+  // provider's fair share.
+  bool manage_remote_io = true;
+  // Objective for the Gavel scheduler's SiloD variant (§5.2: the extension
+  // supports every objective Gavel does).
+  GavelObjective gavel_objective = GavelObjective::kMaxMinFairness;
+  // SRTF: the SJF scheduler preempts running jobs for lower-score arrivals.
+  // Only the flow engine executes preemptive plans.
+  bool preemptive_sjf = false;
+  // Relative noise of Quiver's online benefit profiling.
+  double quiver_profiling_noise = 0.25;
+  std::uint64_t seed = 11;
 };
 
-class PolicyRegistry {
- public:
-  // The process-wide registry, pre-populated with every built-in pair.
-  static PolicyRegistry& Global();
+// The policy name of a pair: "<scheduler>+<cache>" with the tokens
+//
+//   scheduler:  fifo | sjf | gavel
+//   cache:      silod | alluxio | alluxio-lfu | coordl | quiver
+std::string PolicyName(SchedulerKind kind, CacheSystem system);
 
-  // Registers a policy under `name`; kAlreadyExists if the name is taken.
-  Status Register(const std::string& name, const std::string& description,
-                  PolicyFactory factory);
+// All 15 policy names, scheduler-major in enum order.
+const std::vector<std::string>& PolicyNames();
 
-  bool Contains(const std::string& name) const;
+// The inverse of PolicyName; kNotFound listing every policy name otherwise.
+Result<std::pair<SchedulerKind, CacheSystem>> ParsePolicy(const std::string& name);
 
-  // Builds the named policy; kNotFound (listing the known names) otherwise.
-  Result<std::shared_ptr<Scheduler>> Make(const std::string& name,
-                                          const SchedulerOptions& options = {}) const;
+std::shared_ptr<Scheduler> MakeScheduler(SchedulerKind kind, CacheSystem system,
+                                         const SchedulerOptions& options = {});
 
-  // All registered policies, sorted by name.
-  std::vector<PolicyInfo> List() const;
-
-  // Comma-joined sorted names, for help text and error messages.
-  std::string KnownNames() const;
-
- private:
-  PolicyRegistry() = default;
-
-  std::map<std::string, std::pair<std::string, PolicyFactory>> policies_;
-};
-
-// Shorthand for PolicyRegistry::Global().Make(name, options).
+// ParsePolicy, then MakeScheduler.
 Result<std::shared_ptr<Scheduler>> MakeSchedulerByName(const std::string& name,
                                                        const SchedulerOptions& options = {});
-
-// The registry name of an enum pair, e.g. "gavel+alluxio-lfu".
-std::string PolicyName(SchedulerKind kind, CacheSystem system);
 
 }  // namespace silod
 

@@ -1,5 +1,5 @@
-// The silodd planning core: the registry-built batch scheduler plus epoch
-// coalescing (docs/MODEL.md §11).
+// The silodd planning core: the batch scheduler MakeSchedulerByName builds
+// for the policy name, plus epoch coalescing (docs/MODEL.md §11).
 //
 // Every scheduling policy is a pure function from the cluster snapshot to an
 // AllocationPlan, so the daemon needs no per-policy fast path: it counts the
@@ -14,7 +14,7 @@
 // them coalesced, OR the min-replan interval elapsed since the last solve, OR
 // the caller forces it).  Between due points queries serve the cached plan,
 // so a burst of N arrivals costs one solve, not N.  The same path serves all
-// registry pairs.
+// 15 policies.
 #ifndef SILOD_SRC_SERVE_INCREMENTAL_PLANNER_H_
 #define SILOD_SRC_SERVE_INCREMENTAL_PLANNER_H_
 

@@ -5,12 +5,12 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <set>
 
 #include "src/common/units.h"
 #include "src/core/data_manager.h"
 #include "src/core/partition.h"
 #include "src/core/policy_registry.h"
-#include "src/core/silod_scheduler.h"
 #include "src/core/system.h"
 #include "src/sched/fifo.h"
 #include "src/sched/greedy.h"
@@ -206,7 +206,7 @@ TEST_F(PartitionTest, PureRegularDelegates) {
 
 // ----------------------------------------------------------- RunExperiment --
 
-TEST(RunExperiment, NamesAndBothEngines) {
+TEST(RunExperiment, BothEnginesAgree) {
   const ModelZoo zoo;
   Trace trace;
   const DatasetId d = trace.catalog.Add("x", GB(5), MB(16));
@@ -215,12 +215,10 @@ TEST(RunExperiment, NamesAndBothEngines) {
   trace.jobs.push_back(job);
 
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kFifo;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim.resources.total_gpus = 4;
   config.sim.resources.total_cache = GB(5);
   config.sim.resources.remote_io = MBps(50);
-  EXPECT_EQ(config.Name(), "FIFO-SiloD");
 
   config.engine = EngineKind::kFlow;
   const SimResult flow = RunExperiment(trace, config);
@@ -230,42 +228,42 @@ TEST(RunExperiment, NamesAndBothEngines) {
   EXPECT_NEAR(flow.AvgJctSeconds(), fine.AvgJctSeconds(), 0.08 * fine.AvgJctSeconds());
 }
 
-// --------------------------------------------------------- PolicyRegistry --
+// ------------------------------------------------------------------ Policy --
 
-TEST(PolicyRegistry, EveryEnumPairResolvesByName) {
+TEST(Policy, ParseInvertsNameForEveryPair) {
+  std::size_t pairs = 0;
   for (const SchedulerKind kind :
        {SchedulerKind::kFifo, SchedulerKind::kSjf, SchedulerKind::kGavel}) {
     for (const CacheSystem cache :
          {CacheSystem::kSiloD, CacheSystem::kAlluxio, CacheSystem::kAlluxioLfu,
           CacheSystem::kCoorDl, CacheSystem::kQuiver}) {
       const std::string name = PolicyName(kind, cache);
-      EXPECT_TRUE(PolicyRegistry::Global().Contains(name)) << name;
+      const Result<std::pair<SchedulerKind, CacheSystem>> parsed = ParsePolicy(name);
+      ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.status().ToString();
+      EXPECT_EQ(*parsed, std::make_pair(kind, cache)) << name;
+      EXPECT_EQ(PolicyNames()[pairs++], name);
       const Result<std::shared_ptr<Scheduler>> by_name = MakeSchedulerByName(name);
       ASSERT_TRUE(by_name.ok()) << name << ": " << by_name.status().ToString();
-      // The registry builds the same policy the enum factory does.
       EXPECT_EQ((*by_name)->name(), MakeScheduler(kind, cache)->name()) << name;
     }
   }
-  EXPECT_GE(PolicyRegistry::Global().List().size(), 15u);
+  EXPECT_EQ(PolicyNames().size(), 15u);
+  EXPECT_EQ(std::set<std::string>(PolicyNames().begin(), PolicyNames().end()).size(), 15u);
 }
 
-TEST(PolicyRegistry, UnknownNameListsKnownPolicies) {
-  EXPECT_FALSE(PolicyRegistry::Global().Contains("lifo+silod"));
-  const Result<std::shared_ptr<Scheduler>> made = MakeSchedulerByName("lifo+silod");
-  ASSERT_FALSE(made.ok());
-  EXPECT_NE(made.status().ToString().find("fifo+silod"), std::string::npos)
-      << made.status().ToString();
+TEST(Policy, UnknownNameIsNotFoundListingEveryPolicy) {
+  for (const char* name : {"lifo+silod", "fifo", "fifo+", "FIFO+SiloD", "fifo+silod "}) {
+    const Result<std::pair<SchedulerKind, CacheSystem>> parsed = ParsePolicy(name);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kNotFound) << name;
+    for (const std::string& known : PolicyNames()) {
+      EXPECT_NE(parsed.status().message().find(known), std::string::npos) << known;
+    }
+    EXPECT_EQ(MakeSchedulerByName(name).status().code(), StatusCode::kNotFound) << name;
+  }
 }
 
-TEST(PolicyRegistry, RejectsDuplicateRegistration) {
-  const Status again = PolicyRegistry::Global().Register(
-      "fifo+silod", "dup", [](const SchedulerOptions& options) {
-        return MakeScheduler(SchedulerKind::kFifo, CacheSystem::kSiloD, options);
-      });
-  EXPECT_FALSE(again.ok());
-}
-
-TEST(PolicyRegistry, NamedPolicyRunsIdenticallyToEnumPair) {
+TEST(Policy, NamedPolicyRunsIdenticallyToEnumPair) {
   const ModelZoo zoo;
   Trace trace;
   const DatasetId d = trace.catalog.Add("x", GB(5), MB(16));
@@ -273,14 +271,13 @@ TEST(PolicyRegistry, NamedPolicyRunsIdenticallyToEnumPair) {
   trace.jobs.push_back(MakeJob(1, zoo, "BERT", 2, d, Hours(1), 60));
 
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kSjf;
-  config.cache = CacheSystem::kSiloD;
   config.sim.resources.total_gpus = 4;
   config.sim.resources.total_cache = GB(5);
   config.sim.resources.remote_io = MBps(200);
-  const SimResult via_enum = RunExperiment(trace, config);
+  const SimResult via_enum = RunExperimentWith(
+      trace, MakeScheduler(SchedulerKind::kSjf, CacheSystem::kSiloD), config);
 
-  config.policy = "sjf+silod";  // Overrides the enum pair.
+  config.policy = "sjf+silod";
   const SimResult via_name = RunExperiment(trace, config);
   EXPECT_TRUE(PhysicallyIdentical(via_enum, via_name));
 }

@@ -156,7 +156,7 @@ TEST(TraceIo, RoundTripSimulatesIdentically) {
   const Result<Trace> loaded = TraceFromCsv(TraceToCsv(original));
   ASSERT_TRUE(loaded.ok());
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim.resources.total_gpus = 16;
   config.sim.resources.total_cache = TB(1);
   config.sim.resources.remote_io = MBps(200);
@@ -361,8 +361,7 @@ class ObjectiveTest : public ::testing::Test {
 
   SimResult RunWith(GavelObjective objective) {
     ExperimentConfig config;
-    config.scheduler = SchedulerKind::kGavel;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "gavel+silod";
     config.scheduler_options.gavel_objective = objective;
     config.sim.resources.total_gpus = 4;
     config.sim.resources.total_cache = GB(25);
@@ -500,7 +499,7 @@ TEST(Prefetch, WarmStartsQueuedJobs) {
   trace.jobs = {j0, j1};
 
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim.resources.total_gpus = 1;
   config.sim.resources.total_cache = GB(20);
   // 60 MB/s < f*: a cold job IS IO-bound, but once job 0's cache fills its
@@ -531,7 +530,7 @@ TEST(Prefetch, NoEffectWithoutSlackOrSpace) {
   j1.total_bytes = 3 * GB(10);
   trace.jobs = {j0, j1};
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim.resources.total_gpus = 1;
   // Cache only fits the running job's dataset: nothing to prefetch into.
   config.sim.resources.total_cache = GB(10);
@@ -555,7 +554,7 @@ TEST(SharedLfu, ThrashesLikeLruUnderEpochScans) {
 
   auto run = [&](CacheSystem cache) {
     ExperimentConfig config;
-    config.cache = cache;
+    config.policy = PolicyName(SchedulerKind::kFifo, cache);
     config.engine = EngineKind::kFine;
     config.sim.resources.total_gpus = 1;
     config.sim.resources.total_cache = GB(5);
@@ -590,8 +589,7 @@ TEST(Srtf, ShortArrivalPreemptsLongJob) {
   trace.jobs = {long_job, short_job};
 
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kSjf;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "sjf+silod";
   config.sim.resources.total_gpus = 1;  // The short job MUST preempt to run.
   config.sim.resources.total_cache = GB(60);
   config.sim.resources.remote_io = MBps(500);
@@ -625,8 +623,7 @@ TEST(Srtf, ResumePenaltyIsCharged) {
   trace.jobs = {long_job, short_job};
 
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kSjf;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "sjf+silod";
   config.scheduler_options.preemptive_sjf = true;
   config.sim.resources.total_gpus = 1;
   config.sim.resources.total_cache = GB(60);

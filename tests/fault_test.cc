@@ -568,8 +568,7 @@ TEST(EngineFaults, EveryJobCompletesUnderHeavyChurnOnBothEngines) {
   for (const EngineKind engine : {EngineKind::kFine, EngineKind::kFlow}) {
     for (const CacheSystem cache : {CacheSystem::kSiloD, CacheSystem::kCoorDl}) {
       ExperimentConfig config;
-      config.scheduler = SchedulerKind::kFifo;
-      config.cache = cache;
+      config.policy = PolicyName(SchedulerKind::kFifo, cache);
       config.sim = ChurnCluster();
       config.sim.faults = HeavyChurn(kJobs);
       config.engine = engine;
@@ -601,7 +600,7 @@ TEST(EngineFaults, EveryJobCompletesUnderHeavyChurnOnBothEngines) {
 TEST(EngineFaults, ChurnRunsAreDeterministic) {
   const Trace trace = ChurnTrace(8);
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = ChurnCluster();
   config.sim.faults = HeavyChurn(8);
   config.engine = EngineKind::kFine;
@@ -628,7 +627,7 @@ TEST(EngineFaults, DegradeWindowSlowsRemoteBoundJob) {
 
   for (const EngineKind engine : {EngineKind::kFine, EngineKind::kFlow}) {
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = sim;
     config.engine = engine;
     const SimResult baseline = RunExperiment(trace, config);
@@ -664,7 +663,7 @@ TEST(EngineFaults, WorkerCrashDelaysThatJobOnly) {
   sim.reschedule_period = 10;
 
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = sim;
   config.engine = EngineKind::kFine;
   const SimResult baseline = RunExperiment(trace, config);
@@ -708,7 +707,7 @@ TEST(EngineFaults, FineEngineBlockAccountingIsExactUnderEveryRestartPolicy) {
   for (const char* spec :
        {"checkpoint-everything", "lose-partial-epoch", "checkpoint-interval:7"}) {
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = ChurnCluster();
     config.sim.faults = GenerateFaultPlan(churn);
     config.sim.restart_cost = *RestartCost::Parse(spec);
@@ -756,7 +755,7 @@ TEST(EngineFaults, FlowEngineChargesExactlyTheRefetchedBytes) {
 
   auto run = [&](const char* spec) {
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = sim;
     config.sim.restart_cost = *RestartCost::Parse(spec);
     config.engine = EngineKind::kFlow;
@@ -799,7 +798,7 @@ TEST(EngineFaults, ZonalChurnIsDeterministicOnBothEngines) {
 
   for (const EngineKind engine : {EngineKind::kFine, EngineKind::kFlow}) {
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = ChurnCluster();
     config.sim.faults = GenerateFaultPlan(churn);
     config.engine = engine;
@@ -876,8 +875,7 @@ TEST(EngineFaults, IgnoreRulesAndCountersMatchAcrossEngines) {
   std::vector<FaultStats> stats;
   for (const EngineKind engine : {EngineKind::kFine, EngineKind::kFlow}) {
     ExperimentConfig config;
-    config.scheduler = SchedulerKind::kFifo;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = sim;
     config.engine = engine;
     const SimResult result = RunExperiment(trace, config);

@@ -244,18 +244,18 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, IdentityHoldsAfterAnySubmitCompleteCancelSequence) {
-  // Every registry pair whose scheduler keeps no state between Schedule
-  // calls.  Excluded: the three "+quiver" pairs — QuiverStorage's online
-  // profiler draws fresh noise on every call and remembers its last
-  // allocation, so a fresh batch scheduler cannot reproduce the daemon's plan.
+  // Every policy whose scheduler keeps no state between Schedule calls.
+  // Excluded: the three "+quiver" pairs — QuiverStorage's online profiler
+  // draws fresh noise on every call and remembers its last allocation, so a
+  // fresh batch scheduler cannot reproduce the daemon's plan.
   int checked = 0;
-  for (const PolicyInfo& info : PolicyRegistry::Global().List()) {
-    if (info.name.ends_with("+quiver")) {
+  for (const std::string& policy : PolicyNames()) {
+    if (policy.ends_with("+quiver")) {
       continue;
     }
-    SCOPED_TRACE(info.name);
+    SCOPED_TRACE(policy);
     ++checked;
-    Start(SmallCluster(info.name));
+    Start(SmallCluster(policy));
     Must(SubmitReq("a", 0, 2, GB(400)));
     ExpectBatchIdentity();
     Must(SubmitReq("b", 10, 1, GB(800)));
@@ -373,7 +373,7 @@ TEST_F(ServiceTest, ReloadPolicySwapsSchedulerAndCachePair) {
 
   // Unknown policies are rejected and the old one stays live.
   ServeResponse bad = service_->Handle(Req("reload-policy", {{"policy", "nope+silod"}}));
-  EXPECT_FALSE(bad.ok());
+  EXPECT_EQ(StatusCode::kNotFound, bad.code);
   EXPECT_EQ("gavel+coordl", service_->policy_name());
 
   ServeResponse back = Must(Req("reload-policy", {{"policy", "sjf+silod"}}));

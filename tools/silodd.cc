@@ -6,7 +6,7 @@
 //
 // A single-process event-loop daemon: clients submit/complete/cancel jobs
 // over a Unix-domain socket (serve/proto.h framing) and the daemon keeps an
-// always-current AllocationPlan via the planner — the registry-built batch
+// always-current AllocationPlan via the planner — the policy's batch
 // scheduler with epoch-coalesced re-solves, the same for every policy pair —
 // and admission control in front of the scheduler.
 // Drive it with silod_client.
