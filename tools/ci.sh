@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI: strict-warnings build + tests, an ASan/UBSan build + tests, a
-# TSan build of the real-thread runtime tests, and a fault-churn benchmark
-# smoke run with fault-path and Gavel-path digest checks.
+# TSan build of the real-thread runtime tests, a fault-churn benchmark
+# smoke run with fault-path and Gavel-path digest checks, and a build and
+# self-test of the repository benchmark (perfbench/).
 #
 #   tools/ci.sh            # all stages
 #   tools/ci.sh strict     # warnings stage only
@@ -14,6 +15,7 @@
 #   tools/ci.sh serve-smoke # silodd daemon lifecycle + live reload + replay cross-check only
 #   tools/ci.sh serve-crash-smoke # silodd SIGKILL mid-trace + journal recovery + graceful SIGTERM only
 #   tools/ci.sh hetero-smoke # mixed GPU fleet: per-type report partition, uniform-fleet baseline digest, typed silodd replay
+#   tools/ci.sh perfbench-build # the repository benchmark (perfbench/) compiles against src/ and passes its self-test
 #
 # Build trees live in build-ci-*/ next to the normal build/ so CI never
 # clobbers a developer tree.
@@ -381,6 +383,18 @@ PY
   ./build-ci-smoke/tools/silod_client --socket="$sock" shutdown >/dev/null
   wait "$silodd_pid" || { echo "hetero-smoke: daemon exited non-zero"; exit 1; }
   trap - EXIT
+fi
+
+if [[ "$stage" == "all" || "$stage" == "perfbench-build" ]]; then
+  # perfbench/ is a CMake package of its own that compiles ../src; a src/
+  # change that breaks its compile fails every benchmark run, and no other
+  # stage builds it.
+  echo "=== [perfbench-build] configure ==="
+  cmake -S perfbench -B build-ci-perfbench >/dev/null
+  echo "=== [perfbench-build] build ==="
+  cmake --build build-ci-perfbench -j "$jobs"
+  echo "=== [perfbench-build] test ==="
+  build-ci-perfbench/silobench_selftest
 fi
 
 echo "CI OK"
