@@ -267,11 +267,14 @@ TEST(Policy, NamedPolicyRunsIdenticallyToEnumPair) {
   const ModelZoo zoo;
   Trace trace;
   const DatasetId d = trace.catalog.Add("x", GB(5), MB(16));
-  trace.jobs.push_back(MakeJob(0, zoo, "ResNet-50", 1, d, Hours(1), 0));
-  trace.jobs.push_back(MakeJob(1, zoo, "BERT", 2, d, Hours(1), 60));
+  // Two GPUs, three 2-GPU jobs: FIFO runs the long job 1 before the short
+  // job 2, SJF the other way round, so the runs tell the schedulers apart.
+  trace.jobs.push_back(MakeJob(0, zoo, "ResNet-50", 2, d, Hours(2), 0));
+  trace.jobs.push_back(MakeJob(1, zoo, "BERT", 2, d, Hours(2), 60));
+  trace.jobs.push_back(MakeJob(2, zoo, "ResNet-50", 2, d, Hours(0.5), 120));
 
   ExperimentConfig config;
-  config.sim.resources.total_gpus = 4;
+  config.sim.resources.total_gpus = 2;
   config.sim.resources.total_cache = GB(5);
   config.sim.resources.remote_io = MBps(200);
   const SimResult via_enum = RunExperimentWith(
@@ -280,6 +283,9 @@ TEST(Policy, NamedPolicyRunsIdenticallyToEnumPair) {
   config.policy = "sjf+silod";
   const SimResult via_name = RunExperiment(trace, config);
   EXPECT_TRUE(PhysicallyIdentical(via_enum, via_name));
+
+  config.policy = "fifo+silod";
+  EXPECT_FALSE(PhysicallyIdentical(via_enum, RunExperiment(trace, config)));
 }
 
 }  // namespace
