@@ -113,7 +113,7 @@ struct TenantSummary {
 // silodd builds one in ServiceState::Report.  This replaces the per-tool
 // snprintf JSON emitters: one schema, one serializer.
 struct RunReport {
-  std::string label;   // Registry policy name or a free-form cell label.
+  std::string label;   // Policy name or a free-form cell label.
   std::string engine;  // "flow" | "fine" | "rt" | "serve".
   int jobs = 0;
   int unfinished_jobs = 0;  // Jobs with no finish time when the run ended.
